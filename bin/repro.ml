@@ -994,9 +994,8 @@ let lint_cmd =
   in
   let doc =
     "Run both lint engines (token rules and the AST analyses: \
-     lock-order, publication safety, helping discipline, and the \
-     dataflow rules aba-risk / atomicity / layout / escape / \
-     static-race) over source trees."
+     lock-order, publication safety, helping discipline, layout, and \
+     the dataflow rules aba-risk / atomicity) over source trees."
   in
   Cmd.v (Cmd.info "lint" ~doc)
     Term.(const run_lint $ list_rules_arg $ rule_arg $ json_arg $ roots_arg)

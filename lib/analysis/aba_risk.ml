@@ -65,7 +65,7 @@ let scan_fn writers (f : Summary.fn) : Lint_rules.finding list =
   in
   let stamped ctx e =
     match Dataflow.fact_of ctx e with
-    | Some (Dataflow.Fresh_rec { stamped; _ }) -> stamped
+    | Some (Dataflow.Fresh_rec { stamped }) -> stamped
     | _ -> false
   in
   let h_cas ctx ~line ~op nargs =

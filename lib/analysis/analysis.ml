@@ -2,9 +2,8 @@
 
     Drives both engines over a set of sources: the token lint
     ({!Lint_rules}) and the Parsetree analyses ({!Lock_order},
-    {!Publication}, {!Helping}, and the {!Dataflow}-powered
-    {!Aba_risk}, {!Atomicity} and {!Layout}), merging their findings
-    through the
+    {!Publication}, {!Helping}, {!Layout}, and the {!Dataflow}-powered
+    {!Aba_risk} and {!Atomicity}), merging their findings through the
     {e same} waiver machinery — a [lint: allow] comment with a reason
     silences an AST finding on its covered lines exactly as it silences
     a token finding, and waiver hygiene (reason required, stale waivers
@@ -50,8 +49,6 @@ let rule_table : (string * engine * string) list =
     ("aba-risk", Ast, "CAS expected value from an un-revalidated read of a recycled location");
     ("atomicity", Ast, "plain set stores a value computed from the same location's atomic read");
     ("layout", Ast, "adjacent hot fields share a cache line across CAS-performing functions");
-    ("escape", Ast, "mutable location leaves its owning domain: spawn-captured, published, or module-global");
-    ("static-race", Ast, "plain read/write of an escaped location outside any lock-held region");
     ("parse", Ast, "source does not parse; AST analyses skipped for the file");
     ("boundary", Token, "direct OS/clock/domain primitive where the Runtime functor is required");
     ("mutable-atomic", Token, "mutable record field in concurrent code that should be Atomic.t");
@@ -98,11 +95,9 @@ let static_findings (files : (string * string) list) :
   in
   let fns = List.concat_map Summary.of_parsed parsed in
   let cg = Callgraph.build fns in
-  let esc = Escape.analyze parsed cg in
   let all =
     Lock_order.scan cg @ Publication.scan cg @ Helping.scan cg
     @ Aba_risk.scan cg @ Atomicity.scan cg @ Layout.scan parsed cg
-    @ Escape.scan esc @ Races.scan esc
     @ List.rev !parse_errors
   in
   (* nested functions are walked both standalone and inline in their
@@ -130,7 +125,6 @@ let sibling_rules =
     ("deadline-blind", [ "static-deadline"; "static-retry" ]);
     ("dirty-spin", [ "static-retry"; "aba-risk" ]);
     ("cas-discard", [ "atomicity"; "aba-risk"; "stale-publish" ]);
-    ("mutable-atomic", [ "escape"; "static-race" ]);
   ]
 
 let dedupe_tokens ~(extra : finding list) (raw : Lint_rules.raw) :

@@ -143,10 +143,6 @@ let build (all : Summary.fn list) : t =
                   {
                     Summary.no_effects with
                     performs_cas = t0.trans.(j).performs_cas;
-                    (* the substrate's whole job is publishing values into
-                       shared cells; hiding its [escapes] fact would blind
-                       the escape lattice to every client of [Mcas] *)
-                    escapes = t0.trans.(j).escapes;
                   }
                 else t0.trans.(j)
               in

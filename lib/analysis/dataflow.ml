@@ -14,25 +14,10 @@
     - [Derived]: the variable was computed from a [Shared_read] (field
       projection, pattern destructuring, or any expression containing a
       fact-carrying name) and remembers the originating location key;
-    - [Fresh_rec]: the variable holds a freshly allocated mutable value
-      — a record literal (remembering whether it is {e stamped}: binds a
-      version-vocabulary field ([seq]/[ver]/[stamp]/[epoch]) to a
-      computed bump rather than a constant or a plain copy, and which
-      field labels it carries), a [ref], or an [Array]/[Bytes.make].
-      Freshness is {e killed} the first time the variable is mentioned
-      in any call argument: handing the value to a callee — a spawn, an
-      atomic publish, or an opaque helper — may share it, so accesses
-      after that point are no longer provably pre-publication. Hooks
-      fire before the kill, so a publish hook still sees the fact.
-
-    The pass also threads a {e lock-held} counter: the [classify_lock]
-    hook is consulted at every applied-identifier site, and
-    [Acquire]/[Release] verdicts bump [ctx.held] up/down (floored at
-    zero) in evaluation order. Path-insensitivity applies here too — a
-    conditional acquire leaks its count past the join, which
-    over-approximates protection {e inside} that function only; clients
-    treat [held > 0] as "under some lock", which errs toward silence,
-    never toward a spurious finding.
+    - [Fresh_rec]: the variable holds a record literal, remembering
+      whether the literal is {e stamped} — binds a version-vocabulary
+      field ([seq]/[ver]/[stamp]/[epoch]) to a computed bump rather
+      than a constant or a plain copy.
 
     The pass is deliberately path-{e in}sensitive: both branches of a
     conditional and every match arm update one shared state, so a fact
@@ -55,11 +40,11 @@ open Parsetree
 type fact =
   | Shared_read of sr
   | Derived of { dkey : string }
-  | Fresh_rec of { stamped : bool; labels : string list }
+  | Fresh_rec of { stamped : bool }
 
 and sr = { key : string; rline : int; mutable revalidated : bool }
 
-type ctx = { facts : (string, fact) Hashtbl.t; mutable held : int }
+type ctx = { facts : (string, fact) Hashtbl.t }
 
 (* ---- protocol vocabulary ---------------------------------------------- *)
 
@@ -155,33 +140,15 @@ let fact_of ctx e =
   | Pexp_ident { txt = Longident.Lident v; _ } ->
       Hashtbl.find_opt ctx.facts v
   | Pexp_record (fields, _) ->
-      Some
-        (Fresh_rec
-           {
-             stamped = stamped_record fields;
-             labels =
-               List.filter_map
-                 (fun ((lid : Longident.t Asttypes.loc), _) ->
-                   match lid.txt with
-                   | Longident.Lident f -> Some f
-                   | _ -> None)
-                 fields;
-           })
+      Some (Fresh_rec { stamped = stamped_record fields })
   | Pexp_field (r, _) -> (
       match contained_key ctx r with
       | Some k -> Some (Derived { dkey = k })
       | None -> None)
   | Pexp_apply (head, args) -> (
       match Summary.flatten_ident head with
-      | Some [ "ref" ] when args <> [] ->
-          (* [ref e]: a fresh cell, keyed (for escape clients) by the
-             variable it gets bound to *)
-          Some (Fresh_rec { stamped = false; labels = [] })
       | Some segs when List.length segs >= 2 -> (
           match List.rev segs with
-          | ("make" | "create" | "init") :: m :: _
-            when m = "Array" || m = "Bytes" || m = "Buffer" ->
-              Some (Fresh_rec { stamped = false; labels = [] })
           | "get" :: _ -> (
               match Summary.nolabel_args args with
               | loc :: _ -> (
@@ -207,9 +174,6 @@ let fact_of ctx e =
 
 (* ---- the walk --------------------------------------------------------- *)
 
-(** Verdict of {!hooks.classify_lock} on one applied identifier. *)
-type lock_class = Acquire | Release | Neither
-
 type hooks = {
   h_cas : ctx -> line:int -> op:string -> expression list -> unit;
       (** a dotted CAS-family call; the list is its [Nolabel] args *)
@@ -217,18 +181,6 @@ type hooks = {
       (** a dotted [set] that is not a lock release *)
   h_call : ctx -> line:int -> segs:string list -> expression list -> unit;
       (** any other applied identifier, unresolved segments + args *)
-  h_field : ctx -> line:int -> record:expression -> field:string -> unit;
-      (** a [r.f] read, fired before [r] itself is walked *)
-  h_setfield :
-    ctx ->
-    line:int ->
-    record:expression ->
-    field:string ->
-    value:expression ->
-    unit;  (** a [r.f <- v] store, fired before [r] and [v] are walked *)
-  classify_lock : segs:string list -> lock_class;
-      (** consulted at every applied-identifier site to maintain the
-          lock-held counter [ctx.held] *)
 }
 
 let no_hooks =
@@ -236,9 +188,6 @@ let no_hooks =
     h_cas = (fun _ ~line:_ ~op:_ _ -> ());
     h_set = (fun _ ~line:_ ~loc:_ ~value:_ -> ());
     h_call = (fun _ ~line:_ ~segs:_ _ -> ());
-    h_field = (fun _ ~line:_ ~record:_ ~field:_ -> ());
-    h_setfield = (fun _ ~line:_ ~record:_ ~field:_ ~value:_ -> ());
-    classify_lock = (fun ~segs:_ -> Neither);
   }
 
 let rec pat_vars p =
@@ -255,7 +204,7 @@ let rec pat_vars p =
   | _ -> []
 
 let run (hooks : hooks) (body : expression) : unit =
-  let ctx = { facts = Hashtbl.create 16; held = 0 } in
+  let ctx = { facts = Hashtbl.create 16 } in
   let rec walk e =
     let e = Summary.strip_casts e in
     match e.pexp_desc with
@@ -287,71 +236,36 @@ let run (hooks : hooks) (body : expression) : unit =
         walk cont
     | Pexp_apply (head, args) -> (
         let line = Frontend.line_of_loc e.pexp_loc in
-        (* handing a fresh value to any callee may share it: its
-           pre-publication window ends here, before the arguments —
-           including a spawned closure's body — are walked *)
-        let kill_fresh () =
-          List.iter
-            (fun (_, a) ->
-              List.iter
-                (fun v ->
-                  match Hashtbl.find_opt ctx.facts v with
-                  | Some (Fresh_rec _) -> Hashtbl.remove ctx.facts v
-                  | _ -> ())
-                (Summary.idents_of a))
-            args
-        in
         let fire_then_walk_args fire =
           fire ();
-          kill_fresh ();
           List.iter (fun (_, a) -> walk a) args
         in
-        let adjust segs =
-          match hooks.classify_lock ~segs with
-          | Acquire -> ctx.held <- ctx.held + 1
-          | Release -> ctx.held <- max 0 (ctx.held - 1)
-          | Neither -> ()
-        in
         match Summary.flatten_ident head with
-        | Some segs when List.length segs >= 2 ->
+        | Some segs when List.length segs >= 2 -> (
             let last = List.nth segs (List.length segs - 1) in
             let nargs = Summary.nolabel_args args in
-            (if List.mem last Summary.cas_family then
-               fire_then_walk_args (fun () ->
-                   hooks.h_cas ctx ~line ~op:last nargs)
-             else if last = "set" then
-               match nargs with
-               | [ loc; value ]
-                 when not
-                        (Summary.record_sets_field "locked" false value
-                        || Summary.is_bool_lit false value) ->
-                   fire_then_walk_args (fun () ->
-                       hooks.h_set ctx ~line ~loc ~value)
-               | _ ->
-                   (* not an Atomic-shaped 2-arg set: 3-arg [Array.set]
-                      (the [a.(i) <- v] sugar) and release-shaped stores
-                      are still calls clients must see as plain writes *)
-                   fire_then_walk_args (fun () ->
-                       hooks.h_call ctx ~line ~segs nargs)
-             else
-               fire_then_walk_args (fun () ->
-                   hooks.h_call ctx ~line ~segs nargs));
-            adjust segs
+            if List.mem last Summary.cas_family then
+              fire_then_walk_args (fun () ->
+                  hooks.h_cas ctx ~line ~op:last nargs)
+            else if last = "set" then
+              match nargs with
+              | [ loc; value ]
+                when not
+                       (Summary.record_sets_field "locked" false value
+                       || Summary.is_bool_lit false value) ->
+                  fire_then_walk_args (fun () ->
+                      hooks.h_set ctx ~line ~loc ~value)
+              | _ -> List.iter (fun (_, a) -> walk a) args
+            else
+              fire_then_walk_args (fun () ->
+                  hooks.h_call ctx ~line ~segs nargs))
         | Some segs ->
             fire_then_walk_args (fun () ->
-                hooks.h_call ctx ~line ~segs (Summary.nolabel_args args));
-            adjust segs
+                hooks.h_call ctx ~line ~segs (Summary.nolabel_args args))
         | None ->
             walk head;
-            kill_fresh ();
             List.iter (fun (_, a) -> walk a) args)
     | Pexp_field (r, { txt; _ }) -> (
-        (match List.rev (try Longident.flatten txt with _ -> []) with
-        | f :: _ ->
-            hooks.h_field ctx
-              ~line:(Frontend.line_of_loc e.pexp_loc)
-              ~record:r ~field:f
-        | [] -> ());
         walk r;
         (* [n.dirty] / [cur.seq]: inspecting the protocol bits of a
            shared read re-validates it *)
@@ -409,13 +323,7 @@ let run (hooks : hooks) (body : expression) : unit =
         walk a;
         walk b;
         walk c
-    | Pexp_setfield (r, { txt; _ }, v) ->
-        (match List.rev (try Longident.flatten txt with _ -> []) with
-        | f :: _ ->
-            hooks.h_setfield ctx
-              ~line:(Frontend.line_of_loc e.pexp_loc)
-              ~record:r ~field:f ~value:v
-        | [] -> ());
+    | Pexp_setfield (r, _, v) ->
         walk r;
         walk v
     | Pexp_record (fs, base) ->

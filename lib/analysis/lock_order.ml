@@ -43,12 +43,9 @@ type base = Root | Var of string | Opaque of int
 
 type sym = { sbase : base; ups : int; downs : int list }
 
-(* lint: allow — analyzer-internal gensym; the scan is single-threaded,
-   no domain ever shares this counter *)
 let opaque_ctr = ref 0
 
 let fresh_opaque () =
-  (* lint: allow — same single-threaded gensym as its declaration *)
   incr opaque_ctr;
   { sbase = Opaque !opaque_ctr; ups = 0; downs = [] }
 

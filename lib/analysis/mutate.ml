@@ -19,7 +19,7 @@
     (in-place publication on an immutable field, the [Stdlib.Atomic]
     demotion) produce sources the type checker would reject, which is
     fine for certifying {e analyzers} that run on parse trees — the
-    caveat is documented in DESIGN.md §14. *)
+    caveat is documented in DESIGN.md §13. *)
 
 open Parsetree
 
@@ -100,8 +100,7 @@ let catalog : op list =
       op_descr =
         "republish the shared read and mutate its field in place \
          (fresh-copy discipline deleted)";
-      op_rules =
-        [ "stale-publish"; "post-publish-mutation"; "escape"; "static-race" ];
+      op_rules = [ "stale-publish"; "post-publish-mutation" ];
       op_twin = None;
     };
     {
@@ -378,7 +377,7 @@ let on_bindings (p : Frontend.parsed) (f : string -> expression -> unit) =
 (* the defect: inline the witness literal into the acquiring CAS, and  *)
 (* rewrite [unlock] as a direct release-shaped store. Both preserve    *)
 (* the lease-free protocol; they exist so the summaries can see the    *)
-(* acquire/release at all (DESIGN.md §14 records the caveat).          *)
+(* acquire/release at all (DESIGN.md §13 records the caveat).          *)
 (* ------------------------------------------------------------------ *)
 
 let record_field_is fields fname lit =

@@ -51,13 +51,6 @@ type effects = {
   writes_nonatomically : bool;
       (* a dotted [set] that is not a lock release: a plain store into
          an atomic location, the sink of a lost update *)
-  escapes : bool;
-      (* the body contains an escape site: a [Domain.spawn]-shaped call
-         taking a closure (whatever the closure captures leaves this
-         domain), or a store of a value into a shared sink — an atomic
-         [set]/[make] or a CAS fresh-value slot. Propagated transitively
-         by {!Callgraph} so the escape analysis can treat a call into a
-         publishing wrapper as a potential escape of its arguments *)
 }
 
 let no_effects =
@@ -70,7 +63,6 @@ let no_effects =
     releases_lock = false;
     allocates = false;
     writes_nonatomically = false;
-    escapes = false;
   }
 
 let union_effects a b =
@@ -83,7 +75,6 @@ let union_effects a b =
     releases_lock = a.releases_lock || b.releases_lock;
     allocates = a.allocates || b.allocates;
     writes_nonatomically = a.writes_nonatomically || b.writes_nonatomically;
-    escapes = a.escapes || b.escapes;
   }
 
 type call = { callee : string list; call_line : int }
@@ -103,15 +94,6 @@ type fn = {
          CAS-target and dotted-[set] location names ([root], [slot]…) —
          so the ABA analysis can ask which locations are recycled by
          more than one function *)
-  fcaptures : int list;
-      (* params mentioned inside a closure handed to a [spawn]-shaped
-         call: the spawned domain can reach them, so whatever mutable
-         state they carry is at least Captured on the escape lattice *)
-  fshares : int list;
-      (* params forwarded into a shared sink other than a CAS fresh
-         slot — the value argument of a dotted [set], or the argument
-         of a one-argument dotted [make] (an [Atomic.make]-shaped
-         constructor): the callee publishes them into shared memory *)
   fbody : expression;
   fscope : scope;
       (* lexical scope at the function's entry, for re-resolving call
@@ -221,29 +203,6 @@ let pat_var p =
   | Ppat_constraint ({ ppat_desc = Ppat_var { txt; _ }; _ }, _) -> Some txt
   | _ -> None
 
-(* Every simple (unqualified) identifier mentioned in a subtree —
-   the conservative free-variable probe used to decide what a spawn
-   closure captures. Over-approximates (shadowing inside the closure is
-   ignored), which for capture detection errs toward reporting. *)
-let idents_of e =
-  let out = ref [] in
-  let it = Ast_iterator.default_iterator in
-  let expr it' (e : expression) =
-    (match e.pexp_desc with
-    | Pexp_ident { txt = Longident.Lident v; _ } ->
-        if not (List.mem v !out) then out := v :: !out
-    | _ -> ());
-    it.expr it' e
-  in
-  let it = { it with expr } in
-  it.expr it e;
-  !out
-
-let is_closure e =
-  match (strip_casts e).pexp_desc with
-  | Pexp_fun _ | Pexp_function _ -> true
-  | _ -> false
-
 (* Unwrap a binding's function structure: parameter patterns (in order)
    and the innermost body. A [function]-style body contributes one
    anonymous parameter. *)
@@ -287,8 +246,6 @@ type collector = {
   mutable unlock_param : int option;
   mutable publishes : int list;
   mutable writes : string list;
-  mutable captures : int list;
-  mutable shares : int list;
   mutable out : fn list;  (* nested functions, innermost first *)
 }
 
@@ -355,9 +312,6 @@ let rec walk ~file ~scope ~params ~fnpath col disc expr =
                 | _ -> ())
               (List.filter_map arg (write_positions last));
             let fresh_args = List.filter_map arg (fresh_positions last) in
-            if fresh_args <> [] then
-              (* the fresh value becomes reachable by every domain *)
-              col.eff <- { col.eff with escapes = true };
             (* completing CAS: publishes a clean record, or fires blind *)
             if
               disc
@@ -426,49 +380,9 @@ let rec walk ~file ~scope ~params ~fnpath col disc expr =
                     | None -> ())
                 | None -> ()
               end
-            | Some v ->
-                col.eff <-
-                  { col.eff with writes_nonatomically = true; escapes = true };
-                (match ((strip_casts v).pexp_desc, base_var v) with
-                | Pexp_ident _, Some bv -> (
-                    match param_index params bv with
-                    | Some i when not (List.mem i col.shares) ->
-                        col.shares <- i :: col.shares
-                    | _ -> ())
-                | _ -> ())
+            | Some _ ->
+                col.eff <- { col.eff with writes_nonatomically = true }
             | None -> ()
-          end
-          else if dotted && last = "make" && List.length nargs = 1 then begin
-            (* [X.make v] — the Atomic.make-shaped constructor: [v] is
-               published as the cell's initial contents *)
-            col.eff <- { col.eff with escapes = true };
-            match arg 0 with
-            | Some v -> (
-                match ((strip_casts v).pexp_desc, base_var v) with
-                | Pexp_ident _, Some bv -> (
-                    match param_index params bv with
-                    | Some i when not (List.mem i col.shares) ->
-                        col.shares <- i :: col.shares
-                    | _ -> ())
-                | _ -> ())
-            | None -> ()
-          end
-          else if last = "spawn" && List.exists (fun (_, a) -> is_closure a) args
-          then begin
-            (* a [Domain.spawn]-shaped call: everything the closure
-               argument mentions is reachable from the new domain *)
-            col.eff <- { col.eff with escapes = true };
-            List.iter
-              (fun (_, a) ->
-                if is_closure a then
-                  List.iter
-                    (fun v ->
-                      match param_index params v with
-                      | Some i when not (List.mem i col.captures) ->
-                          col.captures <- i :: col.captures
-                      | _ -> ())
-                    (idents_of a))
-              args
           end
           else if last = "cpu_relax" then
             col.eff <- { col.eff with backs_off = true }
@@ -518,8 +432,6 @@ let rec walk ~file ~scope ~params ~fnpath col disc expr =
                     unlock_param = None;
                     publishes = [];
                     writes = [];
-                    captures = [];
-                    shares = [];
                     out = [];
                   }
                 in
@@ -540,19 +452,7 @@ let rec walk ~file ~scope ~params ~fnpath col disc expr =
                   (fun k ->
                     if not (List.mem k col.writes) then
                       col.writes <- k :: col.writes)
-                  col2.writes;
-                (* the fold walk ran under the host's params, so the
-                   nested capture/share indices already point at them *)
-                List.iter
-                  (fun p ->
-                    if not (List.mem p col.captures) then
-                      col.captures <- p :: col.captures)
-                  col2.captures;
-                List.iter
-                  (fun p ->
-                    if not (List.mem p col.shares) then
-                      col.shares <- p :: col.shares)
-                  col2.shares
+                  col2.writes
               end
               else
                 match flatten_ident vb.pvb_expr with
@@ -652,8 +552,6 @@ and collect_fn ~file ~scope ~fnpath ~line e : fn list =
       unlock_param = None;
       publishes = [];
       writes = [];
-      captures = [];
-      shares = [];
       out = [];
     }
   in
@@ -669,8 +567,6 @@ and collect_fn ~file ~scope ~fnpath ~line e : fn list =
     funlock_param = col.unlock_param;
     fpublishes = List.sort compare col.publishes;
     fwrites = List.sort_uniq compare col.writes;
-    fcaptures = List.sort compare col.captures;
-    fshares = List.sort compare col.shares;
     fbody = body;
     fscope = scope;
   }

@@ -13,7 +13,12 @@
     defensive change: predecessor locks are taken with try-lock and the
     whole acquisition is abandoned and retried on any failure, which
     makes deadlock impossible by construction even with duplicate keys
-    (where the book's ordering argument does not directly apply). *)
+    (where the book's ordering argument does not directly apply). As in
+    the book, a node becomes claimable only once it is {e fully linked}:
+    an extract that claimed a node still missing its upper links would
+    find nothing to cut there, and the inserter would then link a
+    removed node back in, wedging every later insert that validates
+    against it. *)
 
 module Make (R : Runtime.S) (Ord : Mound.Intf.ORDERED) = struct
   module B = Runtime.Backoff.Make (R)
@@ -30,6 +35,7 @@ module Make (R : Runtime.S) (Ord : Mound.Intf.ORDERED) = struct
     lock : bool R.Atomic.t;
     removed : bool R.Atomic.t;  (** being physically unlinked *)
     deleted : bool R.Atomic.t;  (** logically extracted (PQ claim) *)
+    fully_linked : bool R.Atomic.t;  (** linked at every level *)
     next : node R.Atomic.t array;  (** length [height] *)
   }
 
@@ -43,6 +49,7 @@ module Make (R : Runtime.S) (Ord : Mound.Intf.ORDERED) = struct
         lock = R.Atomic.make false;
         removed = R.Atomic.make false;
         deleted = R.Atomic.make false;
+        fully_linked = R.Atomic.make true;
         next = [||];
       }
     in
@@ -53,6 +60,7 @@ module Make (R : Runtime.S) (Ord : Mound.Intf.ORDERED) = struct
         lock = R.Atomic.make false;
         removed = R.Atomic.make false;
         deleted = R.Atomic.make false;
+        fully_linked = R.Atomic.make true;
         next = Array.init max_height (fun _ -> R.Atomic.make tail);
       }
     in
@@ -135,12 +143,14 @@ module Make (R : Runtime.S) (Ord : Mound.Intf.ORDERED) = struct
             lock = R.Atomic.make false;
             removed = R.Atomic.make false;
             deleted = R.Atomic.make false;
+            fully_linked = R.Atomic.make false;
             next = Array.init h (fun lvl -> R.Atomic.make succs.(lvl));
           }
         in
         for lvl = 0 to h - 1 do
           R.Atomic.set preds.(lvl).next.(lvl) node
         done;
+        R.Atomic.set node.fully_linked true;
         release ()
       end
       else begin
@@ -206,8 +216,10 @@ module Make (R : Runtime.S) (Ord : Mound.Intf.ORDERED) = struct
         unlink_level t node key lvl
       done
 
-  (** Lotan–Shavit delete-min: claim the first undeleted element on the
-      bottom level via CAS on its [deleted] flag, then unlink it. *)
+  (** Lotan–Shavit delete-min: claim the first undeleted, fully linked
+      element on the bottom level via CAS on its [deleted] flag, then
+      unlink it. A node still being linked is skipped: its insert has
+      not completed yet. *)
   let extract_min t =
     let rec scan (curr : node) =
       match curr.c with
@@ -215,7 +227,8 @@ module Make (R : Runtime.S) (Ord : Mound.Intf.ORDERED) = struct
       | Head -> scan (R.Atomic.get curr.next.(0))
       | Item key ->
           if
-            (not (R.Atomic.get curr.deleted))
+            R.Atomic.get curr.fully_linked
+            && (not (R.Atomic.get curr.deleted))
             && R.Atomic.compare_and_set curr.deleted false true
           then begin
             remove t curr key;

@@ -14,7 +14,7 @@
 
     The twins run the {e defect class}, not the mutated source itself —
     mutants are parse-validated, never compiled and linked (see
-    DESIGN.md §14 for the caveat). That is the same relationship the
+    DESIGN.md §13 for the caveat). That is the same relationship the
     hand-seeded [test/mutant_static.ml] programs have to their static
     fixtures, here mechanized end to end. *)
 

@@ -141,26 +141,24 @@ let run_rank_trial ?(seed = 7L) ~threads ~ops_per_thread (maker : Pq.maker) =
   let stops = Array.make threads 0. in
   let domains =
     Array.init threads (fun tid ->
-        (* lint: allow — per-domain slot arrays: each domain writes only
-           its own [tid] index; [Domain.join] is the synchronization *)
+        (* per-domain slot arrays: each domain writes only its own
+           [tid] index; [Domain.join] is the synchronization *)
         Domain.spawn (fun () ->
             Barrier.wait barrier;
-            starts.(tid) <- Unix.gettimeofday (); (* lint: allow — writes only its own slot *)
+            starts.(tid) <- Unix.gettimeofday ();
             let log = ref [] and empty = ref 0 in
             for _ = 1 to ops_per_thread do
               match q.Pq.extract_min () with
               | Some v ->
                   let stamp = Runtime.Real.monotonic_ns () in
-                  (* lint: allow — [log] never leaves this domain's closure;
-                     only its final contents are published via [logs.(tid)] *)
                   log := { stamp; value = v } :: !log
               | None -> incr empty
             done;
             (* program order restored: the merge's stable sort then keeps
                intra-thread order when coarse clocks produce stamp ties *)
-            logs.(tid) <- List.rev !log; (* lint: allow — writes only its own slot *)
-            empties.(tid) <- !empty; (* lint: allow — writes only its own slot *)
-            stops.(tid) <- Unix.gettimeofday () (* lint: allow — writes only its own slot *)))
+            logs.(tid) <- List.rev !log;
+            empties.(tid) <- !empty;
+            stops.(tid) <- Unix.gettimeofday ()))
   in
   let t0 = Unix.gettimeofday () in
   Barrier.wait barrier;

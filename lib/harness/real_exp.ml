@@ -81,18 +81,17 @@ let run_trial ?(seed = 7L) ?(dist = Workload.Uniform) ~panel ~threads
   let stops = Array.make threads 0. in
   let domains =
     Array.init threads (fun tid ->
-        (* lint: allow — per-domain slot arrays: each domain writes only
-           its own [tid] index, and [Domain.join] below is the
-           synchronization the escape lattice cannot see *)
+        (* per-domain slot arrays: each domain writes only its own
+           [tid] index, and [Domain.join] below is the synchronization *)
         Domain.spawn (fun () ->
             let rng = Prng.for_thread ~seed ~id:tid in
             Barrier.wait barrier;
-            starts.(tid) <- Unix.gettimeofday (); (* lint: allow — writes only its own slot *)
+            starts.(tid) <- Unix.gettimeofday ();
             counts.(tid) <-
               Workload.run_thread ~dist ~panel ~q
                 ~rand:(fun b -> Prng.int rng b)
                 ~ops:ops_per_thread ();
-            stops.(tid) <- Unix.gettimeofday () (* lint: allow — writes only its own slot *)))
+            stops.(tid) <- Unix.gettimeofday ()))
   in
   (* Clock origin is taken before the barrier opens: early worker
      operations cannot land outside the timed window. *)

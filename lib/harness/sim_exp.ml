@@ -47,8 +47,6 @@ let run_cell ?(profile = Sim.Profile.x86) ?(seed = 7L) ~panel ~threads
       Workload.run_thread ~panel ~q ~rand:Sim.Sched.rand_int
         ~ops:ops_per_thread ()
     in
-    (* lint: allow — sim threads are cooperative fibers on one domain;
-       [counts] only collides by name with the real driver's array *)
     counts.(tid) <- ops
   in
   let result = Sim.Sched.run ~profile ~seed (Array.make threads body) in

@@ -49,26 +49,10 @@
      RMW-performing operations — the layout analysis must flag the
      record; the padded twin in the same module must stay clean.
 
-   - [Spawn_counter_race]: the flat per-domain slot discipline
-     collapsed into one shared cell bumped by every spawned domain with
-     a plain read-modify-write. The escape analysis must classify the
-     array spawn-captured and static-race must flag the plain write;
-     [spawn_counter_program] is the dynamic twin — the same collapsed
-     bump on a tracked sim cell, which the DPOR race oracle must report
-     as an unordered write pair.
-
    - [Published_record_write]: a record boxed into an atomic cell whose
-     mutable field is then bumped in place through a plain field write —
-     escape must classify the field published at its declaration, and
-     static-race must flag the unsynchronized access.
-
-   - [Locked_tally]: the negative twin for the lock-region exemption —
-     the same spawn-captured shared slot, every access inside a
-     [Mutex]-held region; both rules must stay silent.
-
-   - [Local_histogram]: the negative twin for the lattice bottom — a
-     mutable array that never leaves its function; no spawn, no
-     publish, no module-level binding, no findings.
+     mutable field is then bumped in place through a plain field write
+     on the shared read — post-publish-mutation must flag the in-place
+     write.
 
    This file is scanned as source by [test_analysis] (a declared dep of
    the test stanza); it must stay outside [lib/] so the shipped-tree
@@ -391,25 +375,6 @@ module Unpadded_top_row = struct
   let pad_live t = Array.length t.shadow.pad
 end
 
-module Spawn_counter_race = struct
-  (* THE MUTATION: the flat per-domain slot discipline ([counts.(tid)]
-     in the real driver) collapsed into one shared cell — every spawned
-     domain bumps [tally.(0)] with a plain read-modify-write, and the
-     post-join read aliases the same slot. *)
-  let race threads =
-    let tally = Array.make 1 0 in
-    let doms =
-      Array.init threads (fun _ ->
-          Domain.spawn (fun () -> tally.(0) <- tally.(0) + 1))
-    in
-    Array.iter Domain.join doms;
-    tally.(0)
-
-  (* A second plain writer, so the single-writer census cannot downgrade
-     the finding to info: two distinct functions write [tally]. *)
-  let drain tally = tally.(0) <- tally.(0) - 1
-end
-
 module Published_record_write = struct
   module R = Sim.Runtime
 
@@ -418,9 +383,8 @@ module Published_record_write = struct
   let create () = R.Atomic.make { used = 0; cap = 8 }
 
   (* THE MUTATION: the record travels through the atomic cell, but the
-     claim bumps its mutable field in place — a plain write to a
-     location the escape lattice classifies published at the [slab]
-     declaration (the atomic make boxes a literal carrying [used]). *)
+     claim bumps its mutable field in place — a plain write through a
+     record every other domain can read from the same cell. *)
   let claim cell =
     let s = R.Atomic.get cell in
     if s.used < s.cap then begin
@@ -428,43 +392,6 @@ module Published_record_write = struct
       true
     end
     else false
-end
-
-module Locked_tally = struct
-  (* The negative twin for the lock-region exemption: the same
-     spawn-captured shared slot as [Spawn_counter_race], but every
-     access sits inside a [Mutex]-held region — the dataflow lock
-     counter exempts each one, and with every recorded access
-     protected, escape classifies the discipline as evident and stays
-     silent too. *)
-  let guarded threads =
-    let lock = Mutex.create () in
-    let ledger = Array.make 1 0 in
-    let doms =
-      Array.init threads (fun _ ->
-          Domain.spawn (fun () ->
-              Mutex.lock lock;
-              ledger.(0) <- ledger.(0) + 1;
-              Mutex.unlock lock))
-    in
-    Array.iter Domain.join doms;
-    Mutex.lock lock;
-    let v = ledger.(0) in
-    Mutex.unlock lock;
-    v
-end
-
-module Local_histogram = struct
-  (* The negative twin for the lattice bottom: the histogram never
-     leaves this function — no spawn capture, no publish, no
-     module-level binding — so every access is domain-local and both
-     rules must stay silent. *)
-  let tally n =
-    let histo = Array.make 8 0 in
-    for i = 0 to n - 1 do
-      histo.(i mod 8) <- histo.(i mod 8) + 1
-    done;
-    Array.fold_left ( + ) 0 histo
 end
 
 (* ---- dynamic cross-checks over the mutants ----------------------------- *)
@@ -542,28 +469,4 @@ let lost_update_pq () : Harness.Pq.t =
     size = (fun () -> P.size q);
     check = (fun () -> P.check q);
     ops = (fun () -> None);
-  }
-
-(** The spawn-counter defect on a tracked sim cell, for the DPOR
-    race oracle: two threads bump the same slot with a plain
-    get-then-set. The explorer must report the unordered write pair —
-    the dynamic verdict for the same defect [static-race] flags on
-    {!Spawn_counter_race} (real arrays are invisible to the sim
-    explorer, so the twin expresses the collapsed slot as a tracked
-    cell). *)
-let spawn_counter_program : Check.program =
-  {
-    Check.name = "mutant-spawn-counter-race";
-    prepare =
-      (fun () ->
-        let module A = Sim.Runtime.Atomic in
-        let tally = A.make 0 in
-        {
-          Check.bodies =
-            Array.make 2 (fun _ -> A.set tally (A.get tally + 1));
-          verdict =
-            (fun () ->
-              if A.get tally = 2 then None
-              else Some (Printf.sprintf "lost bump: %d" (A.get tally)));
-        });
   }

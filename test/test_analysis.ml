@@ -147,6 +147,69 @@ let test_post_publish_mutation () =
   check_count "mutating a local fresh record fine" 0
     (with_rule "post-publish-mutation" (scan "lib/core/x.ml" local))
 
+(* A record boxed into an atomic cell at creation, whose mutable label
+   is then bumped in place through the shared read: the in-place write
+   is the defect, and it is the only finding. *)
+let test_post_publish_boxed_record () =
+  let src =
+    "type slab = { mutable used : int; cap : int }\n\n\
+     let create () = R.Atomic.make { used = 0; cap = 8 }\n\n\
+     let claim cell =\n\
+    \  let s = R.Atomic.get cell in\n\
+    \  s.used <- s.used + 1\n"
+  in
+  Alcotest.(check (list (pair string int)))
+    "one finding, on the in-place bump"
+    [ ("post-publish-mutation", 7) ]
+    (List.map
+       (fun f -> (f.Analysis.rule, f.Analysis.line))
+       (scan "lib/core/x.ml" src))
+
+(* ---- clean twins ------------------------------------------------------- *)
+
+(* Plain mutable state whose discipline is evident from the code: no
+   rule of either engine may flag it. *)
+let test_domain_local_clean () =
+  let local =
+    "let tally n =\n\
+    \  let histo = Array.make 8 0 in\n\
+    \  for i = 0 to n - 1 do\n\
+    \    histo.(i mod 8) <- histo.(i mod 8) + 1\n\
+    \  done;\n\
+    \  Array.fold_left ( + ) 0 histo\n"
+  in
+  check_count "array that never leaves its function: clean" 0
+    (scan "lib/core/x.ml" local)
+
+(* Every access to the shared slot sits between [Mutex.lock] and
+   [Mutex.unlock]: the read-modify-write is protected, so neither the
+   atomicity nor the publication rules fire. The spawn and join are
+   still direct [Domain] uses outside the runtime — the boundary rule
+   reports those two lines and nothing else. *)
+let test_locked_ledger_clean () =
+  let locked =
+    "let guarded n lock =\n\
+    \  let ledger = Array.make 1 0 in\n\
+    \  let doms =\n\
+    \    Array.init n (fun _ ->\n\
+    \        Domain.spawn (fun () ->\n\
+    \            Mutex.lock lock;\n\
+    \            ledger.(0) <- ledger.(0) + 1;\n\
+    \            Mutex.unlock lock))\n\
+    \  in\n\
+    \  Array.iter Domain.join doms;\n\
+    \  Mutex.lock lock;\n\
+    \  let v = ledger.(0) in\n\
+    \  Mutex.unlock lock;\n\
+    \  v\n"
+  in
+  Alcotest.(check (list (pair string int)))
+    "only the two Domain uses"
+    [ ("boundary", 5); ("boundary", 10) ]
+    (List.map
+       (fun f -> (f.Analysis.rule, f.Analysis.line))
+       (scan "lib/core/x.ml" locked))
+
 (* ---- the MultiQueue idioms --------------------------------------------- *)
 
 (* The relaxed front-end's two protocol disciplines, distilled the way
@@ -661,6 +724,25 @@ let test_mutant_lost_update_flagged () =
       check_count "one on the drifting counter" 1
         (List.filter (fun f -> contains f.Analysis.msg "hits") at)
 
+(* 1-based line of the first source line containing [needle]. *)
+let line_of path needle =
+  let lines = String.split_on_char '\n' (Analysis.read_file path) in
+  let rec go i = function
+    | [] -> Alcotest.failf "%s: no line contains %S" path needle
+    | l :: rest -> if contains l needle then i else go (i + 1) rest
+  in
+  go 1 lines
+
+let test_mutant_published_record_flagged () =
+  match scan_mutant () with
+  | None -> ()
+  | Some fs ->
+      let bump = line_of mutant_src "s.used <- s.used + 1" in
+      check_count "the in-place bump is a post-publish mutation" 1
+        (List.filter
+           (fun f -> f.Analysis.line = bump)
+           (with_rule "post-publish-mutation" fs))
+
 let test_mutant_unpadded_top_row_flagged () =
   match scan_mutant () with
   | None -> ()
@@ -670,142 +752,6 @@ let test_mutant_unpadded_top_row_flagged () =
       Alcotest.(check bool) "names the adjacent hot pair" true
         (let msg = (List.hd ly).Analysis.msg in
          contains msg "top_val" && contains msg "top_ver")
-
-let test_mutant_spawn_counter_flagged () =
-  match scan_mutant () with
-  | None -> ()
-  | Some fs ->
-      Alcotest.(check bool) "tally classified spawn-captured" true
-        (List.exists
-           (fun f ->
-             contains f.Analysis.msg "tally"
-             && contains f.Analysis.msg "spawn-captured")
-           (with_rule "escape" fs));
-      let sr =
-        List.filter
-          (fun f -> contains f.Analysis.msg "tally")
-          (with_rule "static-race" fs)
-      in
-      check_count "one race finding for the shared slot" 1 sr;
-      Alcotest.(check bool) "a plain write, not downgraded" true
-        (let m = (List.hd sr).Analysis.msg in
-         contains m "plain write" && not (contains m "single-writer"))
-
-let test_mutant_published_record_flagged () =
-  match scan_mutant () with
-  | None -> ()
-  | Some fs ->
-      Alcotest.(check bool) "used classified published at its decl" true
-        (List.exists
-           (fun f ->
-             contains f.Analysis.msg "used"
-             && contains f.Analysis.msg "published")
-           (with_rule "escape" fs));
-      Alcotest.(check bool) "the in-place bump is a race finding" true
-        (List.exists
-           (fun f -> contains f.Analysis.msg "used")
-           (with_rule "static-race" fs))
-
-let test_mutant_escape_twins_clean () =
-  match scan_mutant () with
-  | None -> ()
-  | Some fs ->
-      let mentions key f = contains f.Analysis.msg key in
-      (* [Locked_tally]: every access mutex-held — both rules silent *)
-      check_count "locked ledger: no findings" 0
-        (List.filter (mentions "ledger")
-           (with_rule "escape" fs @ with_rule "static-race" fs));
-      (* [Local_histogram]: never leaves its function — silent *)
-      check_count "local histogram: no findings" 0
-        (List.filter (mentions "histo")
-           (with_rule "escape" fs @ with_rule "static-race" fs))
-
-(* ---- escape & static-race ---------------------------------------------- *)
-
-let spawn_capture_src =
-  "let race n =\n\
-  \  let tally = Array.make 1 0 in\n\
-  \  let doms =\n\
-  \    Array.init n (fun _ ->\n\
-  \        Domain.spawn (fun () -> tally.(0) <- tally.(0) + 1))\n\
-  \  in\n\
-  \  Array.iter Domain.join doms;\n\
-  \  tally.(0)\n"
-
-let test_escape_spawn_capture () =
-  let fs = scan "lib/core/x.ml" spawn_capture_src in
-  let esc = with_rule "escape" fs in
-  check_count "captured array flagged once" 1 esc;
-  Alcotest.(check bool) "classified spawn-captured" true
-    (contains (List.hd esc).Analysis.msg "spawn-captured");
-  check_count "one race finding for the shared slot" 1
-    (with_rule "static-race" fs)
-
-let test_escape_module_global () =
-  let src = "let hits = ref 0\n\nlet bump () = incr hits\n" in
-  let fs = scan "lib/core/x.ml" src in
-  let esc = with_rule "escape" fs in
-  check_count "module-level ref flagged" 1 esc;
-  Alcotest.(check bool) "classified module-global" true
-    (contains (List.hd esc).Analysis.msg "module-global");
-  (* one plain-writing function: surfaced, but downgraded *)
-  let sr = with_rule "static-race" fs in
-  check_count "the bump is still a finding" 1 sr;
-  Alcotest.(check bool) "downgraded by the single-writer census" true
-    (contains (List.hd sr).Analysis.msg "single-writer")
-
-let test_escape_published () =
-  let src =
-    "type slab = { mutable used : int; cap : int }\n\n\
-     let create () = R.Atomic.make { used = 0; cap = 8 }\n\n\
-     let claim cell =\n\
-    \  let s = R.Atomic.get cell in\n\
-    \  s.used <- s.used + 1\n"
-  in
-  let fs = scan "lib/core/x.ml" src in
-  let esc = with_rule "escape" fs in
-  check_count "boxed mutable label flagged" 1 esc;
-  Alcotest.(check bool) "classified published, anchored at the decl" true
-    (let f = List.hd esc in
-     contains f.Analysis.msg "published" && f.Analysis.line = 1);
-  check_count "the in-place bump is a race finding" 1
-    (with_rule "static-race" fs)
-
-let test_escape_negatives () =
-  (* domain-local: the lattice bottom — never spawned, never published *)
-  let local =
-    "let tally n =\n\
-    \  let histo = Array.make 8 0 in\n\
-    \  for i = 0 to n - 1 do\n\
-    \    histo.(i mod 8) <- histo.(i mod 8) + 1\n\
-    \  done;\n\
-    \  Array.fold_left ( + ) 0 histo\n"
-  in
-  let fs = scan "lib/core/x.ml" local in
-  check_count "domain-local array: no escape" 0 (with_rule "escape" fs);
-  check_count "domain-local array: no race" 0 (with_rule "static-race" fs);
-  (* lock-held regions: every access between lock and unlock is
-     protected by construction, and with all accesses disciplined the
-     capture itself is not a finding either *)
-  let locked =
-    "let guarded n lock =\n\
-    \  let ledger = Array.make 1 0 in\n\
-    \  let doms =\n\
-    \    Array.init n (fun _ ->\n\
-    \        Domain.spawn (fun () ->\n\
-    \            Mutex.lock lock;\n\
-    \            ledger.(0) <- ledger.(0) + 1;\n\
-    \            Mutex.unlock lock))\n\
-    \  in\n\
-    \  Array.iter Domain.join doms;\n\
-    \  Mutex.lock lock;\n\
-    \  let v = ledger.(0) in\n\
-    \  Mutex.unlock lock;\n\
-    \  v\n"
-  in
-  let fs = scan "lib/core/x.ml" locked in
-  check_count "mutex-held accesses: no race" 0 (with_rule "static-race" fs);
-  check_count "evident discipline: no escape" 0 (with_rule "escape" fs)
 
 (* ---- waivers over the new rules ---------------------------------------- *)
 
@@ -835,59 +781,45 @@ let test_waivers_cover_new_rules () =
   check_count "waiver with nothing under it is stale" 1
     (with_rule "waiver" (scan "lib/core/x.ml" stale))
 
-(* Waiver hygiene judged against the union of every engine, including
-   the escape rules: a reasoned waiver over an escape/static-race
-   finding silences it and is not stale; the same waiver with nothing
-   under it is stale; a reasonless one is flagged; and a comment that
-   merely mentions the marker in prose waives nothing. *)
-let test_waivers_cover_escape_rules () =
+(* The same hygiene over a publication finding: a reasoned waiver
+   silences post-publish-mutation and is live, not stale; the identical
+   waiver over code with no finding is stale; a reasonless one is
+   flagged; and prose that merely mentions the marker waives nothing. *)
+let test_waivers_cover_publication () =
+  let bump =
+    "let bump q =\n\
+    \  let n = M.get q in\n\
+    \  n.count <- n.count + 1\n"
+  in
   let waived =
-    "let race n =\n\
-    \  let tally = Array.make 1 0 in\n\
-    \  let doms =\n\
-    \    Array.init n (fun _ ->\n\
-    \        (* lint: allow — fixture: slots joined before any read *)\n\
-    \        Domain.spawn (fun () -> tally.(0) <- tally.(0) + 1))\n\
-    \  in\n\
-    \  Array.iter Domain.join doms;\n\
-    \  tally.(0)\n"
+    "let bump q =\n\
+    \  let n = M.get q in\n\
+    \  (* lint: allow — fixture: the record is never shared *)\n\
+    \  n.count <- n.count + 1\n"
   in
   let fs = scan "lib/core/x.ml" waived in
-  check_count "escape silenced by the reasoned waiver" 0
-    (with_rule "escape" fs);
-  check_count "static-race silenced by the same waiver" 0
-    (with_rule "static-race" fs);
-  check_count "the waiver covers live findings: not stale" 0
+  check_count "post-publish-mutation silenced by the reasoned waiver" 0
+    (with_rule "post-publish-mutation" fs);
+  check_count "the waiver covers a live finding: not stale" 0
     (with_rule "waiver" fs);
-  (* the identical waiver with an Atomic underneath covers nothing *)
   let stale =
-    "let race q =\n\
-    \  (* lint: allow — fixture: slots joined before any read *)\n\
+    "let bump q =\n\
+    \  (* lint: allow — fixture: the record is never shared *)\n\
     \  ignore (R.Atomic.fetch_and_add q 1)\n"
   in
   check_count "same waiver without a finding is stale" 1
     (with_rule "waiver" (scan "lib/core/x.ml" stale));
-  (* a reasonless waiver over the capture is itself a finding *)
   let reasonless =
-    "let race n =\n\
-    \  let tally = Array.make 1 0 in\n\
-    \  let doms =\n\
-    \    Array.init n (fun _ ->\n\
-    \        (* lint: allow *)\n\
-    \        Domain.spawn (fun () -> tally.(0) <- tally.(0) + 1))\n\
-    \  in\n\
-    \  Array.iter Domain.join doms;\n\
-    \  tally.(0)\n"
+    "let bump q =\n\
+    \  let n = M.get q in\n\
+    \  (* lint: allow *)\n\
+    \  n.count <- n.count + 1\n"
   in
   check_count "reasonless waiver flagged" 1
     (with_rule "waiver" (scan "lib/core/x.ml" reasonless));
-  (* marker position: prose mentioning the marker is not a waiver *)
-  let prose =
-    "(* discussed in the lint: allow audit of 2026-07 *)\n"
-    ^ spawn_capture_src
-  in
+  let prose = "(* discussed in the lint: allow audit *)\n" ^ bump in
   check_count "prose mention waives nothing" 1
-    (with_rule "escape" (scan "lib/core/x.ml" prose))
+    (with_rule "post-publish-mutation" (scan "lib/core/x.ml" prose))
 
 (* ---- dynamic cross-checks on the same mutant code ---------------------- *)
 
@@ -969,27 +901,6 @@ let test_mutant_lost_update_breaks_linearizability () =
         failure
   | None -> Alcotest.fail "mutant survived: lost update not caught"
 
-(* The static-race verdict on [Spawn_counter_race], cross-checked
-   dynamically: the same collapsed-slot bump, expressed on a tracked
-   sim cell, is an unordered write pair the DPOR race oracle must
-   report — the static finding is a real race, not a style nit. *)
-let test_mutant_spawn_counter_races_dynamically () =
-  let p = Mutant_static.spawn_counter_program in
-  let r = C.explore ~config:dpor_config p in
-  match r.C.counterexample with
-  | Some { failure = C.Race race; schedule; _ } ->
-      Alcotest.(check bool) "an unordered write pair" true
-        (race.first.wrote && race.second.wrote);
-      let replay = C.run_schedule p schedule in
-      Alcotest.(check bool) "replay reproduces the race" true
-        (match replay.C.replay_failure with
-        | Some (C.Race _) -> true
-        | _ -> false)
-  | Some { failure; _ } ->
-      Alcotest.failf "expected a write-write race, got %a" C.pp_failure
-        failure
-  | None -> Alcotest.fail "mutant survived the race oracle"
-
 (* ---- the shipped tree -------------------------------------------------- *)
 
 let test_shipped_tree_clean () =
@@ -1014,6 +925,15 @@ let () =
           Alcotest.test_case "stale publish" `Quick test_stale_publish;
           Alcotest.test_case "post-publish mutation" `Quick
             test_post_publish_mutation;
+          Alcotest.test_case "boxed record bumped in place" `Quick
+            test_post_publish_boxed_record;
+        ] );
+      ( "clean-twins",
+        [
+          Alcotest.test_case "domain-local array" `Quick
+            test_domain_local_clean;
+          Alcotest.test_case "mutex-held shared slot" `Quick
+            test_locked_ledger_clean;
         ] );
       ( "multiqueue-idioms",
         [
@@ -1040,25 +960,14 @@ let () =
           Alcotest.test_case "local module aliases resolve" `Quick
             test_letmodule_alias_resolution;
         ] );
-      ( "escape",
-        [
-          Alcotest.test_case "spawn capture" `Quick
-            test_escape_spawn_capture;
-          Alcotest.test_case "module-global binding" `Quick
-            test_escape_module_global;
-          Alcotest.test_case "published record label" `Quick
-            test_escape_published;
-          Alcotest.test_case "negatives: local and locked" `Quick
-            test_escape_negatives;
-        ] );
       ( "waivers",
         [
           Alcotest.test_case "static findings and waivers" `Quick
             test_waivers_cover_static_findings;
           Alcotest.test_case "waivers over the dataflow rules" `Quick
             test_waivers_cover_new_rules;
-          Alcotest.test_case "waivers over the escape rules" `Quick
-            test_waivers_cover_escape_rules;
+          Alcotest.test_case "waivers over the publication rules" `Quick
+            test_waivers_cover_publication;
           Alcotest.test_case "parse errors are findings" `Quick
             test_parse_error_reported;
         ] );
@@ -1076,20 +985,14 @@ let () =
             test_mutant_lost_update_flagged;
           Alcotest.test_case "unpadded top row flagged" `Quick
             test_mutant_unpadded_top_row_flagged;
-          Alcotest.test_case "spawn counter race flagged" `Quick
-            test_mutant_spawn_counter_flagged;
           Alcotest.test_case "published record write flagged" `Quick
             test_mutant_published_record_flagged;
-          Alcotest.test_case "escape negative twins clean" `Quick
-            test_mutant_escape_twins_clean;
           Alcotest.test_case "lock inversion deadlocks under liveness"
             `Quick test_mutant_lock_inverted_deadlocks;
           Alcotest.test_case "post-publish mutation breaks linearizability"
             `Quick test_mutant_post_publish_breaks_linearizability;
           Alcotest.test_case "lost update breaks linearizability" `Quick
             test_mutant_lost_update_breaks_linearizability;
-          Alcotest.test_case "spawn counter races under DPOR" `Quick
-            test_mutant_spawn_counter_races_dynamically;
         ] );
       ( "tree",
         [

@@ -442,25 +442,23 @@ let test_sibling_dedupe () =
   check_count "atomicity kept" 1
     (List.filter (fun f -> f.Lint_rules.rule = "atomicity") merged)
 
-(* The escape pairing: the token heuristic flags the mutable field
-   behind an Atomic.t at its declaration line; the escape analysis
-   anchors the published label at the same line and names the lattice
-   level — one defect, the AST finding wins. *)
-let test_sibling_dedupe_escape () =
+(* [mutable-atomic] has no AST sibling: the mutable field behind an
+   Atomic.t is reported once, by the token rule, at its declaration
+   line — the merged scan neither drops nor duplicates it. *)
+let test_mutable_atomic_unpaired () =
   let src =
     "type slab = { mutable used : int; cap : int }\n\
      type t = { cell : slab Atomic.t }\n\n\
      let create () = Atomic.make { used = 0; cap = 8 }\n"
   in
-  check_count "token mutable-atomic fires alone" 1
-    (List.filter
-       (fun f -> f.Lint_rules.rule = "mutable-atomic")
-       (scan "lib/core/x.ml" src));
   let merged = Analysis.scan ~path:"lib/core/x.ml" src in
-  check_count "token sibling dropped from the merged scan" 0
-    (List.filter (fun f -> f.Lint_rules.rule = "mutable-atomic") merged);
-  check_count "the escape finding stands in its place" 1
-    (List.filter (fun f -> f.Lint_rules.rule = "escape") merged)
+  Alcotest.(check (list int))
+    "one mutable-atomic finding, at the declaration" [ 1 ]
+    (List.filter_map
+       (fun f ->
+         if f.Lint_rules.rule = "mutable-atomic" then Some f.Lint_rules.line
+         else None)
+       merged)
 
 (* Every sibling pairing must reference registered rules of the right
    engine, and the registry itself must be duplicate-free — the table
@@ -483,6 +481,37 @@ let test_rule_registry_consistent () =
   let names = List.map (fun (n, _, _) -> n) Analysis.rule_table in
   Alcotest.(check int) "registry names are unique" (List.length names)
     (List.length (List.sort_uniq compare names))
+
+(* The README rules block is derived from the registry: one row per
+   rule, in registry order, with the same engine and description. A
+   rule added, removed or reworded without its row fails here. *)
+let test_readme_rules_table () =
+  let readme =
+    List.find_opt Sys.file_exists [ "README.md"; "../README.md" ]
+  in
+  match readme with
+  | None -> () (* sandbox without the docs; the test stanza depends on it *)
+  | Some path ->
+      let lines = String.split_on_char '\n' (Analysis.read_file path) in
+      let rec block inside acc = function
+        | [] -> List.rev acc
+        | l :: rest ->
+            if l = "<!-- rules:begin -->" then block true acc rest
+            else if l = "<!-- rules:end -->" then List.rev acc
+            else if inside && String.length l > 2 && String.sub l 0 3 = "| `"
+            then block inside (l :: acc) rest
+            else block inside acc rest
+      in
+      let expected =
+        List.map
+          (fun (n, e, d) ->
+            Printf.sprintf "| `%s` | %s | %s |" n
+              (match e with Analysis.Ast -> "AST" | Analysis.Token -> "token")
+              d)
+          Analysis.rule_table
+      in
+      Alcotest.(check (list string))
+        "README rows match the registry" expected (block false [] lines)
 
 (* ---- mound-lint/1 JSON -------------------------------------------------- *)
 
@@ -583,10 +612,12 @@ let () =
         [
           Alcotest.test_case "token/AST siblings deduped" `Quick
             test_sibling_dedupe;
-          Alcotest.test_case "mutable-atomic vs escape" `Quick
-            test_sibling_dedupe_escape;
+          Alcotest.test_case "mutable-atomic unpaired" `Quick
+            test_mutable_atomic_unpaired;
           Alcotest.test_case "rule registry consistent" `Quick
             test_rule_registry_consistent;
+          Alcotest.test_case "README rules table matches registry" `Quick
+            test_readme_rules_table;
         ] );
       ( "json",
         [

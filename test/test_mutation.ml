@@ -182,8 +182,7 @@ let seeded_classes =
     ("Lost_update", "demote-rmw", "atomicity");
     ("Counter_drift", "demote-rmw", "atomicity");
     ("Unpadded_top_row", "drop-pad", "layout");
-    ("Spawn_counter_race", "mutabilize", "static-race");
-    ("Published_record_write", "mutabilize", "escape");
+    ("Published_record_write", "inplace-publish", "post-publish-mutation");
   ]
 
 let load_baseline () =
@@ -227,6 +226,17 @@ let test_baseline_rederives_seeded () =
           "seeded class %s: no %s mutant killed by %s in the baseline" cls op
           rule)
     seeded_classes
+
+(* Every rule an operator targets is a registered analysis rule: a rule
+   dropped from the registry cannot linger in the catalog, where the
+   "no rule silent" guard would then demand kills it can never score. *)
+let test_catalog_rules_registered () =
+  let registered = List.map (fun (n, _, _) -> n) Analysis.rule_table in
+  List.iter
+    (fun rule ->
+      Alcotest.(check bool) (rule ^ " is a registered rule") true
+        (List.mem rule registered))
+    Analysis.Mutate.target_rules
 
 (* ---- the live regression guard ----------------------------------------- *)
 
@@ -334,6 +344,8 @@ let () =
             test_baseline_valid;
           Alcotest.test_case "hand-seeded classes re-derived" `Quick
             test_baseline_rederives_seeded;
+          Alcotest.test_case "operator target rules registered" `Quick
+            test_catalog_rules_registered;
         ] );
       ( "guard",
         [

@@ -148,6 +148,115 @@ let skiplist_lock_livelock_regression () =
   check "terminates" true (r.span > 0);
   check "still sorted" true (SL.check q)
 
+(* Regression: an extract that claims a node whose insert has linked
+   level 0 but not yet its upper levels finds nothing to cut up there;
+   the inserter then links the removed node in above level 0, and every
+   later insert that picks it as a predecessor fails validation and
+   retries forever. The policy forces that interleaving — thread 0
+   inserts until its first link lands, thread 1 extracts until a
+   try-lock on one of thread 0's locks fails, then thread 0 finishes —
+   and a second run of inserts under a virtual-time watchdog must
+   complete. Node heights are random, so the scenario is replayed over
+   a fixed range of seeds: every one whose inserted node is taller than
+   one level used to wedge. *)
+let skiplist_lock_partial_link_regression () =
+  let module SL = Baselines.Skiplist_lock_pq.Make (Sim.Runtime) (Mound.Int_ord) in
+  for seed = 1 to 16 do
+    let seed = Int64.of_int seed in
+    let q = SL.create () in
+    let linked = ref false and blocked = ref false in
+    let on_commit ~tid ~cell:_ ~kind ~wrote =
+      match (tid, kind) with
+      | 0, Sim.Sched.Write -> linked := true
+      | 1, Sim.Sched.Cas when not wrote -> blocked := true
+      | _ -> ()
+    in
+    let policy runnable =
+      let want = if !linked && not !blocked then 1 else 0 in
+      if Array.exists (fun (t, _) -> t = want) runnable then want
+      else fst runnable.(0)
+    in
+    let got = ref None in
+    ignore
+      (Sim.Sched.run ~seed ~policy ~on_commit
+         [| (fun _ -> SL.insert q 10); (fun _ -> got := SL.extract_min q) |]);
+    let r =
+      Sim.Sched.run ~seed ~watchdog:2_000_000
+        [| (fun _ -> for k = 1 to 8 do SL.insert q (10 + k) done) |]
+    in
+    check_int (Printf.sprintf "no wedged inserter (seed %Ld)" seed) 0
+      (List.length r.wedged);
+    check_int
+      (Printf.sprintf "conservation (seed %Ld)" seed)
+      9
+      (SL.size q + Option.fold ~none:0 ~some:(fun _ -> 1) !got);
+    check "still sorted" true (SL.check q)
+  done
+
+(* An extract that runs while an insert is mid-link must not claim the
+   half-linked node. The policy runs thread 0's insert until its first
+   link lands, then thread 1's whole extract, which must come back
+   empty; once the insert completes, the key is extractable. Should the
+   extract claim the node and then block on one of thread 0's locks,
+   the policy hands control back to thread 0, so a regression fails the
+   assertions instead of spinning. Seeds vary the node height. *)
+let skiplist_lock_skips_half_linked () =
+  let module SL = Baselines.Skiplist_lock_pq.Make (Sim.Runtime) (Mound.Int_ord) in
+  for seed = 1 to 8 do
+    let seed = Int64.of_int seed in
+    let q = SL.create () in
+    let linked = ref false and blocked = ref false in
+    let on_commit ~tid ~cell:_ ~kind ~wrote =
+      match (tid, kind) with
+      | 0, Sim.Sched.Write -> linked := true
+      | 1, Sim.Sched.Cas when not wrote -> blocked := true
+      | _ -> ()
+    in
+    let policy runnable =
+      let want = if !linked && not !blocked then 1 else 0 in
+      if Array.exists (fun (t, _) -> t = want) runnable then want
+      else fst runnable.(0)
+    in
+    let got = ref (Some 0) in
+    ignore
+      (Sim.Sched.run ~seed ~policy ~on_commit
+         [| (fun _ -> SL.insert q 10); (fun _ -> got := SL.extract_min q) |]);
+    Alcotest.(check (option int))
+      (Printf.sprintf "half-linked node skipped (seed %Ld)" seed)
+      None !got;
+    Alcotest.(check (option int))
+      (Printf.sprintf "extractable once linked (seed %Ld)" seed)
+      (Some 10) (SL.extract_min q)
+  done
+
+(* Liveness with duplicate keys: three threads insert from a four-key
+   range and extract at random, over many seeded schedules, under a
+   virtual-time watchdog. No thread may wedge, and every inserted key is
+   either extracted or still queued. *)
+let skiplist_lock_duplicate_storm () =
+  let module SL = Baselines.Skiplist_lock_pq.Make (Sim.Runtime) (Mound.Int_ord) in
+  let t = 3 and ops = 40 in
+  List.iter
+    (fun seed ->
+      let q = SL.create () in
+      let taken = Array.make t 0 in
+      let body tid =
+        for i = 0 to ops - 1 do
+          SL.insert q (i mod 4);
+          if Sim.Sched.rand_int 2 = 0 && SL.extract_min q <> None then
+            taken.(tid) <- taken.(tid) + 1
+        done
+      in
+      let r = Sim.Sched.run ~seed ~watchdog:2_000_000 (Array.make t body) in
+      check_int (Printf.sprintf "no wedged thread (seed %Ld)" seed) 0
+        (List.length r.wedged);
+      check_int
+        (Printf.sprintf "conservation (seed %Ld)" seed)
+        (t * ops)
+        (Array.fold_left ( + ) 0 taken + SL.size q);
+      check (Printf.sprintf "still sorted (seed %Ld)" seed) true (SL.check q))
+    seeds
+
 (* extract_many and extract_approx on the LF mound across schedules *)
 let lf_extensions_schedules () =
   let module M = Mound.Lf.Make (Sim.Runtime) (Mound.Int_ord) in
@@ -202,5 +311,11 @@ let () =
             lf_extensions_schedules;
           Alcotest.test_case "skiplist_lock livelock regression" `Quick
             skiplist_lock_livelock_regression;
+          Alcotest.test_case "skiplist_lock partial-link regression" `Quick
+            skiplist_lock_partial_link_regression;
+          Alcotest.test_case "skiplist_lock skips a half-linked node" `Quick
+            skiplist_lock_skips_half_linked;
+          Alcotest.test_case "skiplist_lock duplicate-key storm" `Quick
+            skiplist_lock_duplicate_storm;
         ] );
     ]

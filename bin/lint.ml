@@ -9,24 +9,16 @@
     anything is flagged. Wired into the default [dune runtest] via the
     [@lint] alias, so a direct [Stdlib.Atomic] use outside the runtime,
     a child-before-parent lock acquisition, or a retry loop that
-    neither helps nor backs off fails the build, not a review.
-
-    [--ast-only] narrows the report to the AST rule set (the
-    [@analysis] alias): waivers still apply, token findings are
-    dropped. *)
+    neither helps nor backs off fails the build, not a review. To see
+    one rule alone, use [repro lint --rule R]. *)
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let ast_only = List.mem "--ast-only" args in
   let roots =
-    match List.filter (fun a -> a <> "--ast-only") args with
+    match List.tl (Array.to_list Sys.argv) with
     | _ :: _ as dirs -> dirs
     | [] -> [ "lib" ]
   in
-  let findings =
-    if ast_only then Analysis.scan_trees_static roots
-    else Analysis.scan_trees roots
-  in
+  let findings = Analysis.scan_trees roots in
   List.iter
     (fun f -> Format.printf "%a@." Analysis.pp_finding f)
     findings;

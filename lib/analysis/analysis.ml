@@ -192,12 +192,3 @@ let scan_tree root = scan_trees [ root ]
     as in the merged scan. *)
 let killmatrix ~context mutants =
   Killmatrix.run ~scan:(scan_files ~merge_siblings:false) ~context mutants
-
-(** AST engine only — the rule author's fast inner loop ([@analysis]
-    alias, [lint.exe --ast-only]). Findings are still waiver-filtered
-    (the full two-engine scan computes waiver coverage), then narrowed
-    to the AST rule set; waiver-hygiene findings are left to the full
-    scan, where staleness is judged against both engines' findings. *)
-let scan_trees_static roots : finding list =
-  scan_trees roots
-  |> List.filter (fun f -> List.mem f.rule static_rules)

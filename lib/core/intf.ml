@@ -25,6 +25,11 @@ type 'a outcome = Ok of 'a | Timeout | Rejected
     unbounded paths never read the clock. *)
 let no_deadline = max_int
 
+(** A deadline that has always passed. By the "first attempt always
+    runs" rule an operation given it makes exactly one attempt and never
+    retries: [try_insert] is an insert with this deadline. *)
+let past_deadline = min_int
+
 (** The operations every priority queue in this repository provides. *)
 module type CORE = sig
   type elt
@@ -73,10 +78,11 @@ module type MOUND = sig
       behaviour is unspecified if [batch] is not sorted. *)
 
   val try_insert : t -> elt -> bool
-  (** [try_insert t v] attempts one bounded insertion pass and returns
-      whether it took effect: no unbounded retrying, no blocking on locks.
-      The overload front-end ([Bounded]) uses it to keep admission cheap
-      when the structure is contended. *)
+  (** [try_insert t v] is one insertion attempt whose deadline has
+      already passed ({!past_deadline}); it returns whether it took
+      effect: no retrying, no waiting on a held lock. The overload
+      front-end ([Bounded]) uses it to keep admission cheap when the
+      structure is contended. *)
 
   val insert_until : t -> deadline:int -> elt -> unit outcome
   (** [insert_until t ~deadline v] inserts [v], giving up with [Timeout]
@@ -133,6 +139,20 @@ module Value = struct
       condition. An empty node (+∞) never satisfies it. *)
   let le_elt cmp node v =
     match node with None -> false | Some x -> cmp x v <= 0
+
+  (** [split_prefix cmp limit batch]: the longest prefix of the sorted
+      [batch] whose elements fit under the node value [limit] ([None] is
+      +∞, keeping the whole batch), paired with the remainder. *)
+  let split_prefix cmp limit batch =
+    let rec go acc = function
+      | x :: rest when ge_elt cmp limit x -> go (x :: acc) rest
+      | rest -> (List.rev acc, rest)
+    in
+    go [] batch
+
+  let rec list_sorted cmp = function
+    | [] | [ _ ] -> true
+    | a :: (b :: _ as rest) -> cmp a b <= 0 && list_sorted cmp rest
 end
 
 (** Default number of random leaves probed before the tree grows a level;

@@ -170,11 +170,19 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
       fallback_point_lv t ~ge
     end
 
-  (* [ge] is built once per [insert] call and threaded through the retry
-     loop — the candidate-validation predicate does not change across
-     attempts, so there is no reason to allocate a fresh closure on
-     every retry. *)
-  let rec insert_attempt t v ~ge ~deadline round =
+  (* The probe predicate for [v]: may it be pushed onto node [i]? Built
+     once per call and threaded through the retries, so no attempt
+     allocates a fresh closure. *)
+  let fits t v i = Intf.Value.ge_elt Ord.compare (node_value (read t i)) v
+
+  (* The one insert publication (L4–L15, and §V's batch splice). Select
+     the insert point for [hd] — randomized probing for the first
+     [max_insert_rounds] rounds, the escape hatch after — re-validate
+     it, and publish [hd] together with the longest prefix of the sorted
+     [rest] that the node's value bounds, in one CAS at the root or one
+     DCSS elsewhere. [Ok left] returns the part of [rest] not placed;
+     [Rejected] means the attempt lost a race and placed nothing. *)
+  let publish t hd rest ~ge round =
     let c, clvl =
       if round < max_insert_rounds then T.find_insert_point_lv t.tree ~ge
       else begin
@@ -188,81 +196,72 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
     in
     let cslot = T.get_at t.tree ~level:clvl c in
     let cur = M.get cslot in
+    let limit = node_value cur in
     (* Double-check the candidate (L7): probing was unsynchronized. *)
-    if Intf.Value.ge_elt Ord.compare (node_value cur) v then begin
-      let fresh = { list = v :: cur.list; dirty = cur.dirty; seq = cur.seq + 1 } in
-      if c = 1 then begin
+    if not (Intf.Value.ge_elt Ord.compare limit hd) then Intf.Rejected
+    else begin
+      let list, left =
+        match rest with
+        | [] -> (hd :: cur.list, [])
+        | _ ->
+            let prefix, left = Intf.Value.split_prefix Ord.compare limit rest in
+            (hd :: (prefix @ cur.list), left)
+      in
+      let fresh = { list; dirty = cur.dirty; seq = cur.seq + 1 } in
+      if c = 1 then
         (* Root insert linearizes with a plain CAS (L9–L10). *)
-        if cas_reusing cslot cur fresh then Intf.Ok ()
-        else insert_retry t v ~ge ~deadline round
-      end
-      else begin
+        if cas_reusing cslot cur fresh then Intf.Ok left else Intf.Rejected
+      else
         let pslot = T.get_at t.tree ~level:(clvl - 1) (c / 2) in
         let parent = M.get pslot in
-        if Intf.Value.le_elt Ord.compare (node_value parent) v then begin
-          (* DCSS: write the child only if the parent is unchanged
-             (L12–L14). *)
-          if dcss_reusing pslot parent cslot cur fresh then Intf.Ok ()
-          else insert_retry t v ~ge ~deadline round
-        end
-        else insert_retry t v ~ge ~deadline round
-      end
+        (* DCSS: write the child only if the parent is unchanged
+           (L12–L14). *)
+        if
+          Intf.Value.le_elt Ord.compare (node_value parent) hd
+          && dcss_reusing pslot parent cslot cur fresh
+        then Intf.Ok left
+        else Intf.Rejected
     end
-    else insert_retry t v ~ge ~deadline round
 
   (* A first failure retries immediately (benign race, exactly the
      paper's loop); sustained failure backs off exponentially so
      contending inserters spread out instead of re-colliding. A deadline
      is checked here, between attempts, so a [Timeout] can only be
      returned with the element unpublished. *)
-  and insert_retry t v ~ge ~deadline round =
-    t.ops.insert_retries <- t.ops.insert_retries + 1;
-    if expired ~deadline then begin
-      bump_timeout t;
-      Intf.Timeout
-    end
-    else begin
-      if round > 0 then begin
-        t.ops.insert_backoffs <- t.ops.insert_backoffs + 1;
-        B.exponential ~cap_bits:6 (round - 1)
-      end;
-      insert_attempt t v ~ge ~deadline (round + 1)
-    end
+  let rec insert_loop t v ~ge ~deadline round =
+    match publish t v [] ~ge round with
+    | Intf.Ok _ -> Intf.Ok ()
+    | Timeout | Rejected ->
+        t.ops.insert_retries <- t.ops.insert_retries + 1;
+        if expired ~deadline then begin
+          bump_timeout t;
+          Intf.Timeout
+        end
+        else begin
+          if round > 0 then begin
+            t.ops.insert_backoffs <- t.ops.insert_backoffs + 1;
+            B.exponential ~cap_bits:6 (round - 1)
+          end;
+          insert_loop t v ~ge ~deadline (round + 1)
+        end
+
+  let insert_until t ~deadline v = insert_loop t v ~ge:(fits t v) ~deadline 0
 
   let insert t v =
-    let ge i = Intf.Value.ge_elt Ord.compare (node_value (read t i)) v in
-    match insert_attempt t v ~ge ~deadline:Intf.no_deadline 0 with
+    match insert_until t ~deadline:Intf.no_deadline v with
     | Intf.Ok () -> ()
     | Timeout | Rejected -> assert false (* no deadline, no admission *)
 
-  let insert_until t ~deadline v =
-    let ge i = Intf.Value.ge_elt Ord.compare (node_value (read t i)) v in
-    insert_attempt t v ~ge ~deadline 0
-
-  (** One bounded publication pass: probe, validate, and attempt the
-      linearizing CAS/DCSS once (re-issuing only while the location is
-      observably unchanged, i.e. on spurious weak-CAS failure). Any real
+  (** One publication attempt with a deadline that has already passed:
+      probe, validate, and attempt the linearizing CAS/DCSS once
+      (re-issuing only on spurious weak-CAS failure). Any real
       interference reports [false] instead of retrying. *)
   let try_insert t v =
-    let ge i = Intf.Value.ge_elt Ord.compare (node_value (read t i)) v in
-    let c, clvl = T.find_insert_point_lv t.tree ~ge in
-    let cslot = T.get_at t.tree ~level:clvl c in
-    let cur = M.get cslot in
-    let ok =
-      Intf.Value.ge_elt Ord.compare (node_value cur) v
-      &&
-      let fresh =
-        { list = v :: cur.list; dirty = cur.dirty; seq = cur.seq + 1 }
-      in
-      if c = 1 then cas_reusing cslot cur fresh
-      else
-        let pslot = T.get_at t.tree ~level:(clvl - 1) (c / 2) in
-        let parent = M.get pslot in
-        Intf.Value.le_elt Ord.compare (node_value parent) v
-        && dcss_reusing pslot parent cslot cur fresh
-    in
-    if not ok then t.ops.rejected <- t.ops.rejected + 1;
-    ok
+    match publish t v [] ~ge:(fits t v) 0 with
+    | Intf.Ok _ -> true
+    | Timeout | Rejected ->
+        t.ops.rejected <- t.ops.rejected + 1;
+        false
 
   (** Alternative insert for the ablation study: the paper's §III-D opens
       with "the simplest technique for making insert lock-free is to use a
@@ -276,8 +275,7 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
   (* lint: allow — deliberately naive ablation baseline: the paper's
      strawman k-CSS insert retries without backoff by construction *)
   let rec insert_kcss t v =
-    let ge i = Intf.Value.ge_elt Ord.compare (node_value (read t i)) v in
-    let c = T.find_insert_point t.tree ~ge in
+    let c = T.find_insert_point t.tree ~ge:(fits t v) in
     (* Snapshot the whole ancestor chain root..c. *)
     let rec chain i acc = if i = 0 then acc else chain (i / 2) (i :: acc) in
     let path = chain c [] in
@@ -304,72 +302,30 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
       in
       if not (M.casn ops) then insert_kcss t v
 
-  (* Longest prefix of the sorted [batch] whose elements fit under
-     [limit] (the candidate node's value; [None] is ⊤, keeping the whole
-     batch), paired with the remainder. Shared shape with the other two
-     variants. *)
-  let rec split_prefix limit acc = function
-    | x :: rest when Intf.Value.ge_elt Ord.compare limit x ->
-        split_prefix limit (x :: acc) rest
-    | rest -> (List.rev acc, rest)
-
   (* Attempts per run before conceding the head to element-wise
      [insert] (which carries the backoff) and resuming batching. *)
   let batch_tries = 4
 
   (** Insert a {e sorted} batch — the dual of [extract_many], for
-      returning unconsumed work to the pool. The batch is walked front
-      to back: each round finds the insert point for the current head
-      once, then splices the longest prefix that fits that node
-      ([val(parent c) <= hd] and every spliced element [<= val(c)]) in a
-      single CAS/DCSS — probing and binary search are amortized over the
-      whole run instead of paid per element. Under contention the head
-      falls back to the element-wise [insert] and batching resumes with
-      the remainder. *)
+      returning unconsumed work to the pool. Each round publishes the
+      current head with the longest prefix that fits its insert point,
+      so probing and binary search are amortized over the whole run
+      instead of paid per element. Under contention the head falls back
+      to the element-wise [insert] and batching resumes with the
+      remainder. *)
   let insert_many t batch =
     let rec go batch tries =
       match batch with
       | [] -> ()
-      | hd :: rest_after_hd ->
+      | hd :: rest ->
           if tries = 0 then begin
             insert t hd;
-            go rest_after_hd batch_tries
+            go rest batch_tries
           end
           else begin
-            let ge i =
-              Intf.Value.ge_elt Ord.compare (node_value (read t i)) hd
-            in
-            let c, clvl = T.find_insert_point_lv t.tree ~ge in
-            let cslot = T.get_at t.tree ~level:clvl c in
-            let cur = M.get cslot in
-            let limit = node_value cur in
-            (* Double-check the candidate: probing was unsynchronized. *)
-            if Intf.Value.ge_elt Ord.compare limit hd then begin
-              let prefix, rest = split_prefix limit [] batch in
-              let fresh =
-                {
-                  list = prefix @ cur.list;
-                  dirty = cur.dirty;
-                  seq = cur.seq + 1;
-                }
-              in
-              if c = 1 then begin
-                if cas_reusing cslot cur fresh then go rest batch_tries
-                else go batch (tries - 1)
-              end
-              else begin
-                let pslot = T.get_at t.tree ~level:(clvl - 1) (c / 2) in
-                let parent = M.get pslot in
-                if Intf.Value.le_elt Ord.compare (node_value parent) hd
-                then begin
-                  if dcss_reusing pslot parent cslot cur fresh then
-                    go rest batch_tries
-                  else go batch (tries - 1)
-                end
-                else go batch (tries - 1)
-              end
-            end
-            else go batch (tries - 1)
+            match publish t hd rest ~ge:(fits t hd) 0 with
+            | Intf.Ok left -> go left batch_tries
+            | Timeout | Rejected -> go batch (tries - 1)
           end
     in
     go batch batch_tries
@@ -381,119 +337,78 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
      eventually resolved, the dynamic shadow of the liveness checker. *)
   let near_miss_spins = 8
 
-  let bump_near_miss t spin =
-    if spin = near_miss_spins then
-      t.ops.livelock_near_misses <- t.ops.livelock_near_misses + 1
+  exception Gave_up
 
-  let rec extract_min_spin t ~deadline spin =
-    bump_near_miss t spin;
-    if spin > 0 && expired ~deadline then begin
-      (* checked only on retry iterations: the first attempt always
-         runs, so a generous deadline never turns into a spurious
-         [Timeout], and nothing has been removed when we give up *)
-      bump_timeout t;
-      Intf.Timeout
-    end
+  (* The one take (L22–L32, and §V's extract-many and probabilistic
+     extract): remove node [n]'s head — with [~all] its whole list — by
+     one CAS that also marks the node dirty, then restore the mound
+     property below it. Any non-dirty node roots a sub-mound, so its
+     head is that sub-mound's minimum. Returns the list as it was before
+     the take, [[]] for an empty node (linearizing at the READ, L27).
+     The deadline is checked only on retries — the first attempt always
+     runs, so a generous deadline never turns into a spurious timeout —
+     and [Gave_up] is raised with nothing removed. *)
+  let rec take t n ~level ~all ~deadline spin =
+    if spin = near_miss_spins then
+      t.ops.livelock_near_misses <- t.ops.livelock_near_misses + 1;
+    if spin > 0 && expired ~deadline then raise_notrace Gave_up
     else
-      let slot = T.get_at t.tree ~level:0 1 in
-      let root = M.get slot in
-      if root.dirty then begin
+      let slot = T.get_at t.tree ~level n in
+      let node = M.get slot in
+      if node.dirty then begin
         (* An extraction is mid-flight; help restore the property
            (L24–L26). *)
         t.ops.helps <- t.ops.helps + 1;
-        moundify t 1 ~level:0;
-        extract_min_spin t ~deadline (spin + 1)
+        moundify t n ~level;
+        take t n ~level ~all ~deadline (spin + 1)
       end
       else
-        match root.list with
-        | [] -> Intf.Ok None (* L27: linearizes at the root READ *)
-        | hd :: tl ->
+        match node.list with
+        | [] -> []
+        | _ :: tl ->
+            let left = if all then [] else tl in
             if
-              cas_reusing slot root
-                { list = tl; dirty = true; seq = root.seq + 1 }
+              cas_reusing slot node
+                { list = left; dirty = true; seq = node.seq + 1 }
             then begin
-              moundify t 1 ~level:0;
-              Intf.Ok (Some hd)
+              moundify t n ~level;
+              node.list
             end
             else begin
               t.ops.extract_retries <- t.ops.extract_retries + 1;
-              extract_min_spin t ~deadline (spin + 1)
+              take t n ~level ~all ~deadline (spin + 1)
             end
 
   let extract_min t =
-    match extract_min_spin t ~deadline:Intf.no_deadline 0 with
-    | Intf.Ok r -> r
-    | Timeout | Rejected -> assert false (* no deadline, no admission *)
+    match take t 1 ~level:0 ~all:false ~deadline:Intf.no_deadline 0 with
+    | [] -> None
+    | hd :: _ -> Some hd
 
-  let extract_min_until t ~deadline = extract_min_spin t ~deadline 0
+  let extract_min_until t ~deadline =
+    match take t 1 ~level:0 ~all:false ~deadline 0 with
+    | [] -> Intf.Ok None
+    | hd :: _ -> Intf.Ok (Some hd)
+    | exception Gave_up ->
+        bump_timeout t;
+        Intf.Timeout
 
-  (** Take the root's whole sorted list in one linearizable step (§V):
-      the same protocol as [extract_min], with the list emptied rather
-      than beheaded. *)
-  let rec extract_many_spin t spin =
-    bump_near_miss t spin;
-    let slot = T.get_at t.tree ~level:0 1 in
-    let root = M.get slot in
-    if root.dirty then begin
-      t.ops.helps <- t.ops.helps + 1;
-      moundify t 1 ~level:0;
-      extract_many_spin t (spin + 1)
-    end
-    else
-      match root.list with
-      | [] -> []
-      | taken ->
-          if
-            cas_reusing slot root
-              { list = []; dirty = true; seq = root.seq + 1 }
-          then begin
-            moundify t 1 ~level:0;
-            taken
-          end
-          else begin
-            t.ops.extract_retries <- t.ops.extract_retries + 1;
-            extract_many_spin t (spin + 1)
-          end
+  (** Take the root's whole sorted list in one linearizable step (§V). *)
+  let extract_many t =
+    take t 1 ~level:0 ~all:true ~deadline:Intf.no_deadline 0
 
-  let extract_many t = extract_many_spin t 0
-
-  (** Probabilistic extract-min (§V): any non-dirty node is the root of a
-      sub-mound, so extracting from a random node within the first
-      [max_level+1] levels returns an element that is a minimum of that
-      sub-mound — probably close to the global minimum, at much lower
-      contention. Falls back to the exact operation when the probed node
-      is empty or stays contended. *)
+  (** Probabilistic extract-min (§V): take the head of a random node
+      within the first [max_level+1] levels — the minimum of the
+      sub-mound rooted there, probably close to the global minimum, at
+      much lower contention. Falls back to the exact operation when the
+      probed node is empty. *)
   let extract_approx ?(max_level = 2) t =
-    let d = T.depth t.tree in
-    let lvl = min max_level (d - 1) in
-    let span = (1 lsl (lvl + 1)) - 1 in
-    let n = 1 + R.rand_int span in
-    if n = 1 then extract_min t
-    else
-      let nlvl = T.level_of n in
-      let slot = T.get_at t.tree ~level:nlvl n in
-      let rec attempt tries =
-        if tries = 0 then extract_min t
-        else
-          let node = M.get slot in
-          if node.dirty then begin
-            moundify t n ~level:nlvl;
-            attempt (tries - 1)
-          end
-          else
-            match node.list with
-            | [] -> extract_min t
-            | hd :: tl ->
-                if
-                  M.cas slot node
-                    { list = tl; dirty = true; seq = node.seq + 1 }
-                then begin
-                  moundify t n ~level:nlvl;
-                  Some hd
-                end
-                else attempt (tries - 1)
-      in
-      attempt 4
+    let lvl = min max_level (T.depth t.tree - 1) in
+    let n = 1 + R.rand_int ((1 lsl (lvl + 1)) - 1) in
+    match
+      take t n ~level:(T.level_of n) ~all:false ~deadline:Intf.no_deadline 0
+    with
+    | [] -> extract_min t
+    | hd :: _ -> Some hd
 
   let rec peek_min t =
     let root = read t 1 in
@@ -513,16 +428,12 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
 
   let size t = fold_nodes t (fun acc _ l -> acc + List.length l) 0
 
-  let rec list_sorted = function
-    | [] | [ _ ] -> true
-    | a :: (b :: _ as rest) -> Ord.compare a b <= 0 && list_sorted rest
-
   (** Quiescent check of per-list sortedness and the (dirty-aware) mound
       property of §II: a non-dirty parent dominates its children. *)
   let check t =
     fold_nodes t
       (fun ok i l ->
-        ok && list_sorted l
+        ok && Intf.Value.list_sorted Ord.compare l
         &&
         if i = 1 then true
         else

@@ -209,288 +209,197 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
       end
     end
 
-  let rec extract_min_until t ~deadline =
-    let slot = T.get_at t.tree ~level:0 1 in
-    match set_lock_until t slot ~node:1 ~level:0 ~deadline with
-    | None ->
-        bump_timeout t;
-        Intf.Timeout
+  exception Gave_up
+
+  (* The one take (F9–F12, and §V's extract-many and probabilistic
+     extract): lock node [n], remove its head — with [~all] its whole
+     list — keep it locked, and let moundify restore the property below
+     it and release it. Returns the list as it was before the take, [[]]
+     for an empty node. [Gave_up] is raised, with nothing removed, when
+     [deadline] passes while acquiring or after a lease revoked us. *)
+  let rec take t n ~level ~all ~deadline =
+    let slot = T.get_at t.tree ~level n in
+    match set_lock_until t slot ~node:n ~level ~deadline with
+    | None -> raise_notrace Gave_up
     | Some w -> (
         match w.list with
         | [] ->
             ignore (unlock t slot ~witness:w []);
-            Intf.Ok None
-        | hd :: tl ->
-            (* Remove the head, keep the root locked, and let moundify
-               release it (F9–F12). *)
-            let w' = { list = tl; locked = true; seq = w.seq + 1 } in
+            []
+        | _ :: tl ->
+            let left = if all then [] else tl in
+            let w' = { list = left; locked = true; seq = w.seq + 1 } in
             if restamp t slot ~witness:w w' then begin
-              moundify t 1 ~level:0 ~witness:w';
-              Intf.Ok (Some hd)
+              moundify t n ~level ~witness:w';
+              w.list
             end
             else begin
               (* revoked between acquisition and behead: nothing removed *)
               t.ops.extract_retries <- t.ops.extract_retries + 1;
-              if expired ~deadline then begin
-                bump_timeout t;
-                Intf.Timeout
-              end
-              else extract_min_until t ~deadline
+              if expired ~deadline then raise_notrace Gave_up
+              else take t n ~level ~all ~deadline
             end)
 
-  let extract_min t =
-    match extract_min_until t ~deadline:Intf.no_deadline with
-    | Intf.Ok r -> r
-    | Timeout | Rejected -> assert false (* no deadline, no admission *)
-
-  (** Take the root's entire list (§V): identical protocol with the list
-      emptied instead of beheaded. *)
-  let rec extract_many t =
-    let slot = T.get_at t.tree ~level:0 1 in
-    let w = set_lock t slot ~node:1 ~level:0 in
-    match w.list with
-    | [] ->
-        ignore (unlock t slot ~witness:w []);
-        []
-    | taken ->
-        let w' = { list = []; locked = true; seq = w.seq + 1 } in
-        if restamp t slot ~witness:w w' then begin
-          moundify t 1 ~level:0 ~witness:w';
-          taken
-        end
-        else begin
-          t.ops.extract_retries <- t.ops.extract_retries + 1;
-          extract_many t
-        end
-
-  (** Probabilistic extract-min (§V): lock a random node within the first
-      [max_level+1] levels and extract its head, which is the minimum of
-      the sub-mound rooted there. Falls back to the exact operation on an
-      empty probe. *)
-  let rec extract_approx ?(max_level = 2) t =
-    let d = T.depth t.tree in
-    let lvl = min max_level (d - 1) in
-    let span = (1 lsl (lvl + 1)) - 1 in
-    let n = 1 + R.rand_int span in
-    let nlvl = T.level_of n in
-    let slot = T.get_at t.tree ~level:nlvl n in
-    let w = set_lock t slot ~node:n ~level:nlvl in
-    match w.list with
-    | [] ->
-        ignore (unlock t slot ~witness:w []);
-        extract_min t
-    | hd :: tl ->
-        let w' = { list = tl; locked = true; seq = w.seq + 1 } in
-        if restamp t slot ~witness:w w' then begin
-          moundify t n ~level:nlvl ~witness:w';
-          Some hd
-        end
-        else begin
-          t.ops.extract_retries <- t.ops.extract_retries + 1;
-          extract_approx ~max_level t
-        end
-
-  (* [ge] is built once per [insert] call and reused across retries —
-     the validation predicate does not change, so no fresh closure per
-     attempt. The deadline bounds both the lock waits and the
-     revalidation retries; [Timeout] guarantees [v] was not published. *)
-  let rec insert_attempt t v ~ge ~deadline =
-    let retry () =
-      t.ops.insert_retries <- t.ops.insert_retries + 1;
-      if expired ~deadline then begin
+  let extract_min_until t ~deadline =
+    match take t 1 ~level:0 ~all:false ~deadline with
+    | [] -> Intf.Ok None
+    | hd :: _ -> Intf.Ok (Some hd)
+    | exception Gave_up ->
         bump_timeout t;
         Intf.Timeout
-      end
-      else insert_attempt t v ~ge ~deadline
-    in
+
+  let extract_min t =
+    match take t 1 ~level:0 ~all:false ~deadline:Intf.no_deadline with
+    | [] -> None
+    | hd :: _ -> Some hd
+
+  (** Take the root's entire list (§V). *)
+  let extract_many t = take t 1 ~level:0 ~all:true ~deadline:Intf.no_deadline
+
+  (** Probabilistic extract-min (§V): take the head of a random node
+      within the first [max_level+1] levels, which is the minimum of the
+      sub-mound rooted there. Falls back to the exact operation on an
+      empty probe. *)
+  let extract_approx ?(max_level = 2) t =
+    let lvl = min max_level (T.depth t.tree - 1) in
+    let n = 1 + R.rand_int ((1 lsl (lvl + 1)) - 1) in
+    match
+      take t n ~level:(T.level_of n) ~all:false ~deadline:Intf.no_deadline
+    with
+    | [] -> extract_min t
+    | hd :: _ -> Some hd
+
+  (* The probe predicate for [v]: may it be pushed onto node [i]? Built
+     once per call and reused across retries. *)
+  let fits t v i =
+    Intf.Value.ge_elt Ord.compare (node_value (R.Atomic.get (T.get t.tree i))) v
+
+  (* The one insert publication (F41–F46, and §V's batch splice): lock
+     the insert point [ge] selects — its parent first, matching
+     moundify's order — check [hd] still fits there, and push [hd] with
+     the longest prefix of the sorted [rest] that the node's value
+     bounds. [Ok left] returns the part of [rest] not placed; [Rejected]
+     means the check failed or a lease revoked us, and [Timeout] that
+     [deadline] passed while acquiring — either way nothing was
+     placed. *)
+  let publish t hd rest ~ge ~deadline =
     let c, clvl = T.find_insert_point_lv t.tree ~ge in
     let cslot = T.get_at t.tree ~level:clvl c in
     if c = 1 then
       match set_lock_until t cslot ~node:1 ~level:0 ~deadline with
-      | None ->
-          bump_timeout t;
-          Intf.Timeout
+      | None -> Intf.Timeout
       | Some w ->
-          if Intf.Value.ge_elt Ord.compare (node_value w) v then
-            if unlock t cslot ~witness:w (v :: w.list) then Intf.Ok ()
-            else retry () (* revoked before publication: not inserted *)
+          let limit = node_value w in
+          if Intf.Value.ge_elt Ord.compare limit hd then begin
+            let list, left =
+              match rest with
+              | [] -> (hd :: w.list, [])
+              | _ ->
+                  let prefix, left =
+                    Intf.Value.split_prefix Ord.compare limit rest
+                  in
+                  (hd :: (prefix @ w.list), left)
+            in
+            if unlock t cslot ~witness:w list then Intf.Ok left
+            else Intf.Rejected (* revoked before publication *)
+          end
           else begin
             ignore (unlock t cslot ~witness:w w.list);
-            retry ()
+            Intf.Rejected
           end
     else begin
       (* Parent before child, matching moundify's order (F45–F46). *)
       let pslot = T.get_at t.tree ~level:(clvl - 1) (c / 2) in
       match set_lock_until t pslot ~node:(c / 2) ~level:(clvl - 1) ~deadline with
-      | None ->
-          bump_timeout t;
-          Intf.Timeout
+      | None -> Intf.Timeout
       | Some wp -> (
           match set_lock_until t cslot ~node:c ~level:clvl ~deadline with
           | None ->
               ignore (unlock t pslot ~witness:wp wp.list);
-              bump_timeout t;
               Intf.Timeout
           | Some wc ->
-              if
-                Intf.Value.ge_elt Ord.compare (node_value wc) v
-                && Intf.Value.le_elt Ord.compare (node_value wp) v
-              then begin
-                let published = unlock t cslot ~witness:wc (v :: wc.list) in
-                ignore (unlock t pslot ~witness:wp wp.list);
-                if published then Intf.Ok () else retry ()
-              end
-              else begin
-                ignore (unlock t pslot ~witness:wp wp.list);
-                ignore (unlock t cslot ~witness:wc wc.list);
-                retry ()
-              end)
-    end
-
-  let insert t v =
-    let ge i =
-      Intf.Value.ge_elt Ord.compare (node_value (R.Atomic.get (T.get t.tree i))) v
-    in
-    match insert_attempt t v ~ge ~deadline:Intf.no_deadline with
-    | Intf.Ok () -> ()
-    | Timeout | Rejected -> assert false (* no deadline, no admission *)
-
-  let insert_until t ~deadline v =
-    let ge i =
-      Intf.Value.ge_elt Ord.compare (node_value (R.Atomic.get (T.get t.tree i))) v
-    in
-    insert_attempt t v ~ge ~deadline
-
-  (* Single acquisition attempt: no spinning, no lease accounting. *)
-  let try_lock t slot =
-    let n = R.Atomic.get slot in
-    if n.locked then begin
-      t.ops.lock_spins <- t.ops.lock_spins + 1;
-      None
-    end
-    else
-      let mine = { list = n.list; locked = true; seq = n.seq + 1 } in
-      if R.Atomic.compare_and_set slot n mine then Some mine
-      else begin
-        t.ops.lock_spins <- t.ops.lock_spins + 1;
-        None
-      end
-
-  (** One bounded pass with try-locks: probe once, acquire without
-      spinning, publish or report [false]. Never blocks behind a held
-      lock — the admission path the bounded front-end uses. *)
-  let try_insert t v =
-    let ge i =
-      Intf.Value.ge_elt Ord.compare (node_value (R.Atomic.get (T.get t.tree i))) v
-    in
-    let c, clvl = T.find_insert_point_lv t.tree ~ge in
-    let cslot = T.get_at t.tree ~level:clvl c in
-    let ok =
-      if c = 1 then
-        match try_lock t cslot with
-        | None -> false
-        | Some w ->
-            if Intf.Value.ge_elt Ord.compare (node_value w) v then
-              unlock t cslot ~witness:w (v :: w.list)
-            else begin
-              ignore (unlock t cslot ~witness:w w.list);
-              false
-            end
-      else
-        let pslot = T.get_at t.tree ~level:(clvl - 1) (c / 2) in
-        match try_lock t pslot with
-        | None -> false
-        | Some wp -> (
-            match try_lock t cslot with
-            | None ->
-                ignore (unlock t pslot ~witness:wp wp.list);
-                false
-            | Some wc ->
-                if
-                  Intf.Value.ge_elt Ord.compare (node_value wc) v
-                  && Intf.Value.le_elt Ord.compare (node_value wp) v
-                then begin
-                  let published = unlock t cslot ~witness:wc (v :: wc.list) in
-                  ignore (unlock t pslot ~witness:wp wp.list);
-                  published
-                end
-                else begin
-                  ignore (unlock t pslot ~witness:wp wp.list);
-                  ignore (unlock t cslot ~witness:wc wc.list);
-                  false
-                end)
-    in
-    if not ok then t.ops.rejected <- t.ops.rejected + 1;
-    ok
-
-  (* Longest prefix of the sorted batch fitting under [limit] ([None] is
-     ⊤), paired with the remainder — same shape as the other variants. *)
-  let rec split_prefix limit acc = function
-    | x :: rest when Intf.Value.ge_elt Ord.compare limit x ->
-        split_prefix limit (x :: acc) rest
-    | rest -> (List.rev acc, rest)
-
-  let batch_tries = 4
-
-  (** Insert a {e sorted} batch — the dual of [extract_many]. The batch
-      is walked front to back: each round finds the insert point for the
-      current head once, then splices the longest prefix that fits that
-      node ([val(parent c) <= hd] and every spliced element [<= val(c)])
-      under one lock pair — probing and binary search are amortized over
-      the whole run instead of paid per element. Under contention the
-      head falls back to the element-wise [insert] and batching resumes
-      with the remainder. *)
-  let insert_many t batch =
-    let rec go batch tries =
-      match batch with
-      | [] -> ()
-      | hd :: rest_after_hd ->
-          if tries = 0 then begin
-            insert t hd;
-            go rest_after_hd batch_tries
-          end
-          else begin
-            let ge i =
-              Intf.Value.ge_elt Ord.compare
-                (node_value (R.Atomic.get (T.get t.tree i)))
-                hd
-            in
-            let c, clvl = T.find_insert_point_lv t.tree ~ge in
-            let cslot = T.get_at t.tree ~level:clvl c in
-            if c = 1 then begin
-              let w = set_lock t cslot ~node:1 ~level:0 in
-              let limit = node_value w in
-              if Intf.Value.ge_elt Ord.compare limit hd then begin
-                let prefix, rest = split_prefix limit [] batch in
-                if unlock t cslot ~witness:w (prefix @ w.list) then
-                  go rest batch_tries
-                else go batch (tries - 1)
-              end
-              else begin
-                ignore (unlock t cslot ~witness:w w.list);
-                go batch (tries - 1)
-              end
-            end
-            else begin
-              let pslot = T.get_at t.tree ~level:(clvl - 1) (c / 2) in
-              let wp = set_lock t pslot ~node:(c / 2) ~level:(clvl - 1) in
-              let wc = set_lock t cslot ~node:c ~level:clvl in
               let limit = node_value wc in
               if
                 Intf.Value.ge_elt Ord.compare limit hd
                 && Intf.Value.le_elt Ord.compare (node_value wp) hd
               then begin
-                let prefix, rest = split_prefix limit [] batch in
-                let published = unlock t cslot ~witness:wc (prefix @ wc.list) in
+                let list, left =
+                  match rest with
+                  | [] -> (hd :: wc.list, [])
+                  | _ ->
+                      let prefix, left =
+                        Intf.Value.split_prefix Ord.compare limit rest
+                      in
+                      (hd :: (prefix @ wc.list), left)
+                in
+                let published = unlock t cslot ~witness:wc list in
                 ignore (unlock t pslot ~witness:wp wp.list);
-                if published then go rest batch_tries else go batch (tries - 1)
+                if published then Intf.Ok left else Intf.Rejected
               end
               else begin
                 ignore (unlock t pslot ~witness:wp wp.list);
                 ignore (unlock t cslot ~witness:wc wc.list);
-                go batch (tries - 1)
-              end
-            end
+                Intf.Rejected
+              end)
+    end
+
+  (* The deadline bounds both the lock waits and the revalidation
+     retries; [Timeout] guarantees [v] was not published. *)
+  let rec insert_loop t v ~ge ~deadline =
+    match publish t v [] ~ge ~deadline with
+    | Intf.Ok _ -> Intf.Ok ()
+    | Timeout ->
+        bump_timeout t;
+        Intf.Timeout
+    | Rejected ->
+        t.ops.insert_retries <- t.ops.insert_retries + 1;
+        if expired ~deadline then begin
+          bump_timeout t;
+          Intf.Timeout
+        end
+        else insert_loop t v ~ge ~deadline
+
+  let insert_until t ~deadline v = insert_loop t v ~ge:(fits t v) ~deadline
+
+  let insert t v =
+    match insert_until t ~deadline:Intf.no_deadline v with
+    | Intf.Ok () -> ()
+    | Timeout | Rejected -> assert false (* no deadline, no admission *)
+
+  (** One publication attempt with a deadline that has already passed:
+      probe once, make one acquisition attempt per lock, publish or
+      report [false]. Never waits behind a held lock — the admission
+      path the bounded front-end uses. *)
+  let try_insert t v =
+    match publish t v [] ~ge:(fits t v) ~deadline:Intf.past_deadline with
+    | Intf.Ok _ -> true
+    | Timeout | Rejected ->
+        t.ops.rejected <- t.ops.rejected + 1;
+        false
+
+  let batch_tries = 4
+
+  (** Insert a {e sorted} batch — the dual of [extract_many]. Each round
+      publishes the current head with the longest prefix that fits its
+      insert point under one lock pair, so probing and binary search are
+      amortized over the whole run instead of paid per element. Under
+      contention the head falls back to the element-wise [insert] and
+      batching resumes with the remainder. *)
+  let insert_many t batch =
+    let rec go batch tries =
+      match batch with
+      | [] -> ()
+      | hd :: rest ->
+          if tries = 0 then begin
+            insert t hd;
+            go rest batch_tries
+          end
+          else begin
+            match
+              publish t hd rest ~ge:(fits t hd) ~deadline:Intf.no_deadline
+            with
+            | Intf.Ok left -> go left batch_tries
+            | Timeout | Rejected -> go batch (tries - 1)
           end
     in
     go batch batch_tries
@@ -510,16 +419,12 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
 
   let size t = fold_nodes t (fun acc _ l -> acc + List.length l) 0
 
-  let rec list_sorted = function
-    | [] | [ _ ] -> true
-    | a :: (b :: _ as rest) -> Ord.compare a b <= 0 && list_sorted rest
-
   (** Quiescent check: sorted lists and the mound property at every
       parent/child pair (no node should be locked at a quiescent point). *)
   let check t =
     fold_nodes t
       (fun ok i l ->
-        ok && list_sorted l
+        ok && Intf.Value.list_sorted Ord.compare l
         && (not (R.Atomic.get (T.get t.tree i)).locked)
         &&
         if i = 1 then true

@@ -158,6 +158,8 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
     slot.ins_left <- slot.ins_left - 1;
     slot.ins_q
 
+  (* Refresh the sticky delete pair when due and return the member with
+     the smaller cached top ([None] is +∞): two-choice sampling. *)
   let sticky_del t slot =
     if slot.del_left <= 0 then begin
       let nq = Array.length t.cells in
@@ -166,14 +168,20 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
       slot.del_left <- t.stickiness
     end;
     slot.del_left <- slot.del_left - 1;
-    (slot.del_a, slot.del_b)
+    let a = slot.del_a and b = slot.del_b in
+    if vcompare (R.Atomic.get t.cells.(a).top) (R.Atomic.get t.cells.(b).top)
+       <= 0
+    then a
+    else b
 
   (* --- insert ------------------------------------------------------- *)
 
   (* Acquire some queue's lock, preferring [i]: one CAS on the sticky
      queue, then a deterministic rotation over the others (no PRNG in
      the retry path). Returns the acquired index, or [None] on deadline
-     expiry. An unbounded acquire always terminates as long as some
+     expiry. The deadline is first checked after the second probe, so
+     even an already-passed deadline tries the sticky queue and its
+     neighbour. An unbounded acquire always terminates as long as some
      holder keeps releasing: every rotation retries all [nq] locks. *)
   let rec acquire t i tries ~deadline =
     if R.Atomic.compare_and_set t.cells.(i).lock false true then Some i
@@ -181,7 +189,7 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
       t.ops.lock_spins <- t.ops.lock_spins + 1;
       if tries = near_miss_spins then
         t.ops.livelock_near_misses <- t.ops.livelock_near_misses + 1;
-      if expired ~deadline then None
+      if tries > 0 && expired ~deadline then None
       else begin
         let nq = Array.length t.cells in
         if (tries + 1) mod nq = 0 then R.cpu_relax ();
@@ -189,13 +197,16 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
       end
     end
 
-  let insert_until t ~deadline v =
+  (* The one insert publication: lock the sticky queue (failing over
+     along the rotation) and push [hd] with the sorted [rest] — a whole
+     inner mound bounds nothing, so the batch always fits and
+     [Q.insert_many] splices it. [false] means [deadline] passed before
+     any lock was won, with nothing placed. *)
+  let publish t hd rest ~deadline =
     let slot = slot_for t in
     let start = sticky_ins t slot in
     match acquire t start 0 ~deadline with
-    | None ->
-        t.ops.deadline_timeouts <- t.ops.deadline_timeouts + 1;
-        Intf.Timeout
+    | None -> false
     | Some i ->
         if i <> start then begin
           (* failed over: stick to the queue we actually acquired *)
@@ -203,40 +214,30 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
           t.ops.insert_retries <- t.ops.insert_retries + 1
         end;
         let cell = t.cells.(i) in
-        Q.insert cell.q v;
-        ignore (R.Atomic.fetch_and_add t.size 1);
+        (match rest with
+        | [] -> Q.insert cell.q hd
+        | _ -> Q.insert_many cell.q (hd :: rest));
+        ignore (R.Atomic.fetch_and_add t.size (1 + List.length rest));
         unlock cell;
-        Intf.Ok ()
+        true
 
-  let insert t v =
-    match insert_until t ~deadline:Intf.no_deadline v with
-    | Intf.Ok () -> ()
-    | Timeout | Rejected -> assert false (* no deadline: acquire never gives up *)
-
-  let try_insert t v =
-    let slot = slot_for t in
-    let start = sticky_ins t slot in
-    let nq = Array.length t.cells in
-    let won i =
-      let cell = t.cells.(i) in
-      Q.insert cell.q v;
-      ignore (R.Atomic.fetch_and_add t.size 1);
-      unlock cell;
-      slot.ins_q <- i;
-      true
-    in
-    if R.Atomic.compare_and_set t.cells.(start).lock false true then won start
+  let insert_until t ~deadline v =
+    if publish t v [] ~deadline then Intf.Ok ()
     else begin
-      t.ops.lock_spins <- t.ops.lock_spins + 1;
-      let alt = (start + 1) mod nq in
-      if alt <> start && R.Atomic.compare_and_set t.cells.(alt).lock false true
-      then won alt
-      else begin
-        if alt <> start then t.ops.lock_spins <- t.ops.lock_spins + 1;
-        t.ops.rejected <- t.ops.rejected + 1;
-        false
-      end
+      t.ops.deadline_timeouts <- t.ops.deadline_timeouts + 1;
+      Intf.Timeout
     end
+
+  let insert t v = ignore (publish t v [] ~deadline:Intf.no_deadline)
+
+  (* One publication with a deadline that has already passed: the
+     sticky queue and its neighbour are each probed once. *)
+  let try_insert t v =
+    publish t v [] ~deadline:Intf.past_deadline
+    || begin
+         t.ops.rejected <- t.ops.rejected + 1;
+         false
+       end
 
   (** Insert a {e sorted} batch into the sticky queue in one critical
       section, so [Seq_mound.insert_many]'s prefix splicing amortizes
@@ -244,44 +245,49 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
   let insert_many t batch =
     match batch with
     | [] -> ()
-    | _ -> (
-        let slot = slot_for t in
-        let start = sticky_ins t slot in
-        match acquire t start 0 ~deadline:Intf.no_deadline with
-        | None -> assert false (* no deadline: acquire never gives up *)
-        | Some i ->
-            slot.ins_q <- i;
-            let cell = t.cells.(i) in
-            Q.insert_many cell.q batch;
-            ignore (R.Atomic.fetch_and_add t.size (List.length batch));
-            unlock cell)
+    | hd :: rest -> ignore (publish t hd rest ~deadline:Intf.no_deadline)
 
   (* --- extract ------------------------------------------------------ *)
 
-  type attempt = Got of elt | Nothing
-
-  (* One try-lock extraction attempt on queue [i]. [Nothing] covers both
-     a busy lock and an empty queue: either way the caller moves on, and
-     global emptiness is decided by the counter, not by this probe. The
-     unlocked-and-top-[None] shortcut can race an in-flight publish and
-     report [Nothing] for a just-filled queue; the counter-guarded
-     rescan in [scan] re-examines it. *)
-  let pop_at t i =
+  (* The one take: one try-lock probe of queue [i] that removes its
+     minimum — with [~all] its whole root list, with [?max_level] the
+     inner mound's probabilistic pick — and returns what it removed.
+     [[]] covers both a busy lock and an empty queue: either way the
+     caller moves on, and global emptiness is decided by the counter,
+     not by this probe. The unlocked-and-top-[None] shortcut can race an
+     in-flight publish and miss a just-filled queue; the counter-guarded
+     rescans re-examine it. *)
+  let take_at ?max_level t i ~all =
     let cell = t.cells.(i) in
-    if R.Atomic.get cell.top = None && not (R.Atomic.get cell.lock) then
-      Nothing
+    if R.Atomic.get cell.top = None && not (R.Atomic.get cell.lock) then []
     else if not (R.Atomic.compare_and_set cell.lock false true) then begin
       t.ops.lock_spins <- t.ops.lock_spins + 1;
-      Nothing
+      []
     end
     else begin
-      let r = Q.extract_min cell.q in
-      (match r with
-      | Some _ -> ignore (R.Atomic.fetch_and_add t.size (-1))
-      | None -> ());
+      let taken =
+        if all then Q.extract_many cell.q
+        else
+          Option.to_list
+            (match max_level with
+            | None -> Q.extract_min cell.q
+            | Some _ -> Q.extract_approx ?max_level cell.q)
+      in
+      (match taken with
+      | [] -> ()
+      | l -> ignore (R.Atomic.fetch_and_add t.size (-List.length l)));
       unlock cell;
-      match r with Some v -> Got v | None -> Nothing
+      taken
     end
+
+  (* Take from the first choice of the sticky delete pair, then from the
+     other member when the first yields nothing. *)
+  let take_pair ?max_level t slot first ~all =
+    match take_at ?max_level t first ~all with
+    | [] ->
+        let second = if first = slot.del_a then slot.del_b else slot.del_a in
+        if second <> first then take_at ?max_level t second ~all else []
+    | taken -> taken
 
   (* Deterministic rotation over every queue, restarted while the size
      counter says elements remain. Terminates with [Ok None] only on a
@@ -303,56 +309,27 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
       end
     end
     else
-      match pop_at t i with
-      | Got v -> Intf.Ok (Some v)
-      | Nothing ->
+      match take_at t i ~all:false with
+      | v :: _ -> Intf.Ok (Some v)
+      | [] ->
           scan t ((i + 1) mod Array.length t.cells) (left - 1) rounds ~deadline
 
   let extract_min_until t ~deadline =
     let slot = slot_for t in
-    let a, b = sticky_del t slot in
-    let ta = R.Atomic.get t.cells.(a).top
-    and tb = R.Atomic.get t.cells.(b).top in
-    (* two-choice: pop from the sampled queue with the smaller cached
-       top ([None] is +∞), falling back to the other *)
-    let first, second = if vcompare ta tb <= 0 then (a, b) else (b, a) in
-    match pop_at t first with
-    | Got v -> Intf.Ok (Some v)
-    | Nothing -> (
-        match if second <> first then pop_at t second else Nothing with
-        | Got v -> Intf.Ok (Some v)
-        | Nothing ->
-            (* both samples empty or busy: re-roll on the next op, and
-               decide emptiness via the full counter-guarded rotation *)
-            slot.del_left <- 0;
-            let nq = Array.length t.cells in
-            scan t ((first + 1) mod nq) nq 0 ~deadline)
+    let first = sticky_del t slot in
+    match take_pair t slot first ~all:false with
+    | v :: _ -> Intf.Ok (Some v)
+    | [] ->
+        (* both samples empty or busy: re-roll on the next op, and
+           decide emptiness via the full counter-guarded rotation *)
+        slot.del_left <- 0;
+        let nq = Array.length t.cells in
+        scan t ((first + 1) mod nq) nq 0 ~deadline
 
   let extract_min t =
     match extract_min_until t ~deadline:Intf.no_deadline with
     | Intf.Ok r -> r
     | Timeout | Rejected -> assert false (* no deadline: scan never gives up *)
-
-  (* Take one queue's whole root list: the relaxed analogue of the
-     paper's extract-many (its head is that queue's minimum, not
-     necessarily the global one). Same two-choice + counter-guarded
-     rotation as [extract_min], so an empty result means an observed
-     empty structure. *)
-  let take_at t i =
-    let cell = t.cells.(i) in
-    if R.Atomic.get cell.top = None && not (R.Atomic.get cell.lock) then []
-    else if not (R.Atomic.compare_and_set cell.lock false true) then begin
-      t.ops.lock_spins <- t.ops.lock_spins + 1;
-      []
-    end
-    else begin
-      let r = Q.extract_many cell.q in
-      (match r with
-      | [] -> ()
-      | l -> ignore (R.Atomic.fetch_and_add t.size (-(List.length l))));
-      unlock cell;
-      r
-    end
 
   (* lint: allow — [extract_many] has no deadline variant in the MOUND
      signature (matching the other mound variants); the wait resolves as
@@ -367,54 +344,35 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
       end
     end
     else
-      match take_at t i with
+      match take_at t i ~all:true with
       | [] -> take_scan t ((i + 1) mod Array.length t.cells) (left - 1)
       | taken -> taken
 
+  (* Take one queue's whole root list: the relaxed analogue of the
+     paper's extract-many (its head is that queue's minimum, not
+     necessarily the global one). Same two-choice + counter-guarded
+     rotation as [extract_min], so an empty result means an observed
+     empty structure; the rotation is [take_scan], which has no
+     deadline to honour. *)
   let extract_many t =
     let slot = slot_for t in
-    let a, b = sticky_del t slot in
-    let ta = R.Atomic.get t.cells.(a).top
-    and tb = R.Atomic.get t.cells.(b).top in
-    let first, second = if vcompare ta tb <= 0 then (a, b) else (b, a) in
-    match take_at t first with
-    | [] -> (
-        match if second <> first then take_at t second else [] with
-        | [] ->
-            slot.del_left <- 0;
-            let nq = Array.length t.cells in
-            take_scan t ((first + 1) mod nq) nq
-        | taken -> taken)
+    let first = sticky_del t slot in
+    match take_pair t slot first ~all:true with
+    | [] ->
+        slot.del_left <- 0;
+        let nq = Array.length t.cells in
+        take_scan t ((first + 1) mod nq) nq
     | taken -> taken
 
-  (* Doubly approximate: sample one sticky queue, then let the inner
+  (* Doubly approximate: sample the sticky pair, then let the inner
      mound's probabilistic extract pick a near-minimum within it. Busy
      or empty samples fall back to the exact (still rank-relaxed)
      [extract_min]. *)
-  let extract_approx ?max_level t =
+  let extract_approx ?(max_level = 2) t =
     let slot = slot_for t in
-    let a, b = sticky_del t slot in
-    let approx_at i =
-      let cell = t.cells.(i) in
-      if not (R.Atomic.compare_and_set cell.lock false true) then begin
-        t.ops.lock_spins <- t.ops.lock_spins + 1;
-        None
-      end
-      else begin
-        let r = Q.extract_approx ?max_level cell.q in
-        (match r with
-        | Some _ -> ignore (R.Atomic.fetch_and_add t.size (-1))
-        | None -> ());
-        unlock cell;
-        r
-      end
-    in
-    match approx_at a with
-    | Some v -> Some v
-    | None -> (
-        match if b <> a then approx_at b else None with
-        | Some v -> Some v
-        | None -> extract_min t)
+    match take_pair ~max_level t slot (sticky_del t slot) ~all:false with
+    | v :: _ -> Some v
+    | [] -> extract_min t
 
   (* --- observers ---------------------------------------------------- *)
 

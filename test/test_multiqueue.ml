@@ -366,6 +366,82 @@ let test_rank_oracle_multiqueue_bounded () =
   check Alcotest.int "nothing spuriously empty" 0
     stats.Harness.Rank_exp.empty_returns
 
+(* ---- try_insert against held locks ------------------------------------ *)
+
+(* try_insert's contract on two queues: threads 0 and 1 each insert one
+   key and are crashed at every pair of their shared-access points;
+   lowest-tid-first scheduling runs thread 2's try_insert only once both
+   are dead, so the sweep covers zero, one and two queue locks held for
+   good. try_insert must probe the sticky queue and then its neighbour:
+   with one lock held it still succeeds, with both held it returns
+   [false] after exactly those two probes (no wedge, no waiting), counts
+   a rejection, and leaves the deadline-timeout count and the size
+   unchanged. *)
+let test_try_insert_held_locks () =
+  let run ~crashes =
+    Sim.Sched.seed_ambient 19L;
+    let q = Smq.create ~queues:2 ~domains:2 () in
+    List.iter (Smq.insert q) [ 10; 20; 30 ];
+    let seen = ref None in
+    let bodies =
+      [|
+        (fun _ -> Smq.insert q 1);
+        (fun _ -> Smq.insert q 2);
+        (fun _ ->
+          let ops = Smq.ops q in
+          let size0 = Smq.size q
+          and spins0 = ops.lock_spins
+          and rejected0 = ops.rejected
+          and timeouts0 = ops.deadline_timeouts in
+          let ok = Smq.try_insert q 3 in
+          seen :=
+            Some
+              ( ok,
+                Smq.size q - size0,
+                ops.lock_spins - spins0,
+                ops.rejected - rejected0,
+                ops.deadline_timeouts - timeouts0 ));
+      |]
+    in
+    let r =
+      Sim.Sched.run ~seed:19L ~crashes ~watchdog:2_000_000
+        ~policy:(Sim.Sched.replay []) bodies
+    in
+    (r, !seen)
+  in
+  let r0, _ = run ~crashes:[] in
+  let refusals = ref 0 and failovers = ref 0 in
+  for k0 = 0 to r0.accesses.(0) do
+    for k1 = 0 to r0.accesses.(1) + 1 do
+      let crashes =
+        List.filter (fun (_, k) -> k > 0) [ (0, k0); (1, k1) ]
+      in
+      let r, seen = run ~crashes in
+      check Alcotest.bool "try_insert never waits on a dead holder" true
+        (r.wedged = []);
+      match seen with
+      | None -> Alcotest.fail "try_insert did not return"
+      | Some (true, grew, spins, rejected, timeouts) ->
+          if spins = 1 then incr failovers;
+          check Alcotest.int "a successful try_insert adds one element" 1
+            grew;
+          check Alcotest.int "no rejection on success" 0 rejected;
+          check Alcotest.int "no timeout on success" 0 timeouts
+      | Some (false, grew, spins, rejected, timeouts) ->
+          incr refusals;
+          check Alcotest.int "a refused try_insert adds nothing" 0 grew;
+          check Alcotest.int "sticky queue and neighbour each probed once"
+            2 spins;
+          check Alcotest.int "the refusal is counted as a rejection" 1
+            rejected;
+          check Alcotest.int "a refusal is not a deadline timeout" 0
+            timeouts
+    done
+  done;
+  check Alcotest.bool "some crash pair held both locks" true (!refusals >= 1);
+  check Alcotest.bool "a held sticky queue fails over to its neighbour" true
+    (!failovers >= 1)
+
 let () =
   Alcotest.run "multiqueue"
     [
@@ -393,6 +469,8 @@ let () =
         [
           Alcotest.test_case "crash sweep: dead domain never wedges others"
             `Quick test_crash_sweep_never_wedges;
+          Alcotest.test_case "try_insert against held locks" `Quick
+            test_try_insert_held_locks;
         ] );
       ( "rank-oracle",
         [

@@ -307,6 +307,68 @@ let sim_deadline_instead_of_wedge () =
     (sim_crash_points ());
   check "some crash point forced a deadline timeout" true (!timeouts >= 1)
 
+(* try_insert's contract when a lock it needs is held: thread 0 inserts
+   a key below every element — so the root is always the insert point —
+   and is crashed at each of its shared accesses in turn; thread 1 then
+   try_inserts another such key. Lowest-tid-first scheduling runs thread
+   1 only once thread 0 is dead, so some crash point leaves the root
+   lock held for good. There, try_insert must return [false] after one
+   failed acquisition (no wedge, no waiting), count a rejection, and
+   leave the deadline-timeout count and the contents unchanged. *)
+let sim_try_insert_held_lock () =
+  let run ~crash =
+    Sim.Sched.seed_ambient 17L;
+    let q = SL.create () in
+    for i = 0 to sim_prepop - 1 do
+      SL.insert q (10 + i)
+    done;
+    let seen = ref None in
+    let bodies =
+      [|
+        (fun _ -> SL.insert q 0);
+        (fun _ ->
+          let ops = SL.ops q in
+          let size0 = SL.size q
+          and spins0 = ops.lock_spins
+          and rejected0 = ops.rejected
+          and timeouts0 = ops.deadline_timeouts in
+          let ok = SL.try_insert q 0 in
+          seen :=
+            Some
+              ( ok,
+                SL.size q - size0,
+                ops.lock_spins - spins0,
+                ops.rejected - rejected0,
+                ops.deadline_timeouts - timeouts0 ));
+      |]
+    in
+    let crashes = if crash = 0 then [] else [ (0, crash) ] in
+    let r =
+      Sim.Sched.run ~seed:17L ~crashes ~watchdog:2_000_000
+        ~policy:(Sim.Sched.replay []) bodies
+    in
+    (r, !seen)
+  in
+  let r0, _ = run ~crash:0 in
+  let refusals = ref 0 in
+  for k = 0 to r0.accesses.(0) do
+    let r, seen = run ~crash:k in
+    check "try_insert never waits on a dead holder" true (r.wedged = []);
+    match seen with
+    | None -> Alcotest.fail "try_insert did not return"
+    | Some (true, grew, _, rejected, timeouts) ->
+        check_int "a successful try_insert adds one element" 1 grew;
+        check_int "no rejection on success" 0 rejected;
+        check_int "no timeout on success" 0 timeouts
+    | Some (false, grew, spins, rejected, timeouts) ->
+        incr refusals;
+        check_int "a refused try_insert adds nothing" 0 grew;
+        check_int "one failed acquisition, then give up" 1 spins;
+        check_int "the refusal is counted as a rejection" 1 rejected;
+        check_int "a refusal is not a deadline timeout" 0 timeouts
+  done;
+  check "some crash point left the root lock held" true (!refusals >= 1)
+
 (* ---------------- wedge recovery, real domains (smoke) ------------- *)
 
 let wait_until ?(timeout_s = 5.0) pred =
@@ -479,6 +541,8 @@ let () =
             sim_lease_recovery;
           Alcotest.test_case "deadline instead of wedge" `Quick
             sim_deadline_instead_of_wedge;
+          Alcotest.test_case "try_insert refuses a held lock" `Quick
+            sim_try_insert_held_lock;
         ] );
       ( "real-recovery",
         [

@@ -3,13 +3,13 @@
     Usage: [lint.exe DIR...] — scans every [.ml]/[.mli] under each DIR
     (default [lib]) with both engines linked as one program: the token
     lint ({!Lint_rules}) plus the Parsetree analyses ({!Analysis}:
-    lock-order, publication safety, helping discipline v2, and the
+    lock-leak, publication safety, helping discipline, and the
     dataflow rules aba-risk / atomicity / layout), their findings
     merged through the same waiver machinery. Exits nonzero if
     anything is flagged. Wired into the default [dune runtest] via the
     [@lint] alias, so a direct [Stdlib.Atomic] use outside the runtime,
-    a child-before-parent lock acquisition, or a retry loop that
-    neither helps nor backs off fails the build, not a review. To see
+    a lock held past a return, or a retry loop that neither helps nor
+    backs off fails the build, not a review. To see
     one rule alone, use [repro lint --rule R]. *)
 
 let () =

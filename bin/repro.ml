@@ -994,7 +994,7 @@ let lint_cmd =
   in
   let doc =
     "Run both lint engines (token rules and the AST analyses: \
-     lock-order, publication safety, helping discipline, layout, and \
+     lock-leak, publication safety, helping discipline, layout, and \
      the dataflow rules aba-risk / atomicity) over source trees."
   in
   Cmd.v (Cmd.info "lint" ~doc)

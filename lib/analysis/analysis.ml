@@ -33,29 +33,25 @@ type finding = Lint_rules.finding = {
 let pp_finding = Lint_rules.pp_finding
 
 (* The single registry every consumer derives from: [repro lint --rule]
-   completion, [--list-rules] output, the README rule table (CI greps
-   each name against it), and the engine split below. Adding a rule
-   means adding a row here — nothing else can drift. *)
+   completion, [--list-rules] output, the README rule table ([test_lint]
+   checks it row for row), and the engine split below. Adding a rule
+   means adding a row here — nothing else can drift. A defect rule earns
+   its row with a kill in the committed mutation matrix on a planted
+   defect, not just on the deletion of one of its own waivers
+   ([test_mutation] enforces it). *)
 type engine = Ast | Token
 
 let rule_table : (string * engine * string) list =
   [
-    ("lock-order", Ast, "lock acquired above an already-held ancestor: inversion deadlock");
     ("lock-leak", Ast, "path returns with an acquired lock never released");
     ("stale-publish", Ast, "CASes back a value read from the shared structure without re-validation");
-    ("post-publish-mutation", Ast, "plain field write through a record already published to other threads");
     ("static-retry", Ast, "call-graph CAS retry cycle reaching neither helping nor backoff");
-    ("static-deadline", Ast, "unbounded retry cycle that never consults a deadline");
     ("aba-risk", Ast, "CAS expected value from an un-revalidated read of a recycled location");
     ("atomicity", Ast, "plain set stores a value computed from the same location's atomic read");
     ("layout", Ast, "adjacent hot fields share a cache line across CAS-performing functions");
     ("parse", Ast, "source does not parse; AST analyses skipped for the file");
     ("boundary", Token, "direct OS/clock/domain primitive where the Runtime functor is required");
     ("mutable-atomic", Token, "mutable record field in concurrent code that should be Atomic.t");
-    ("dirty-spin", Token, "loop re-reading a dirty flag without helping the marked node");
-    ("cas-discard", Token, "CAS result discarded: failure path never observed");
-    ("retry-no-backoff", Token, "retry loop without a backoff call");
-    ("deadline-blind", Token, "retry loop that never checks a deadline or until bound");
     ("alloc-in-retry", Token, "fresh allocation inside a CAS retry loop");
     ("format", Token, "tab/trailing-whitespace/final-newline hygiene");
     ("waiver", Token, "lint: allow marker malformed, reasonless, or stale");
@@ -114,49 +110,14 @@ let static_findings (files : (string * string) list) :
     (Hashtbl.copy byfile);
   byfile
 
-(* One defect, one finding: when both engines flag the same file:line,
-   the token rule and its AST sibling describe the same problem from two
-   vantage points — keep the AST finding (it names the protocol) and
-   drop the token one. Pairings are explicit so unrelated co-located
-   findings still both surface. *)
-let sibling_rules =
-  [
-    ("retry-no-backoff", [ "static-retry"; "static-deadline" ]);
-    ("deadline-blind", [ "static-deadline"; "static-retry" ]);
-    ("dirty-spin", [ "static-retry"; "aba-risk" ]);
-    ("cas-discard", [ "atomicity"; "aba-risk"; "stale-publish" ]);
-  ]
-
-let dedupe_tokens ~(extra : finding list) (raw : Lint_rules.raw) :
-    Lint_rules.raw =
-  {
-    raw with
-    Lint_rules.raw_base =
-      List.filter
-        (fun (f : finding) ->
-          match List.assoc_opt f.rule sibling_rules with
-          | None -> true
-          | Some asts ->
-              not
-                (List.exists
-                   (fun (g : finding) ->
-                     g.file = f.file && g.line = f.line
-                     && List.mem g.rule asts)
-                   extra))
-        raw.Lint_rules.raw_base;
-  }
-
-let scan_files ?(merge_siblings = true) (files : (string * string) list) :
-    finding list =
+let scan_files (files : (string * string) list) : finding list =
   let statics = static_findings files in
   List.concat_map
     (fun (path, src) ->
-      let raw = Lint_rules.scan_raw ~path src in
       let extra =
         Hashtbl.find_opt statics path |> Option.value ~default:[]
       in
-      let raw = if merge_siblings then dedupe_tokens ~extra raw else raw in
-      Lint_rules.apply_waivers ~path raw ~extra)
+      Lint_rules.apply_waivers ~path (Lint_rules.scan_raw ~path src) ~extra)
     files
 
 let scan ~path src = scan_files [ (path, src) ]
@@ -184,11 +145,7 @@ let scan_tree root = scan_trees [ root ]
 
 (** Mutant × rule kill matrix of [mutants] over the pristine [context]
     file set — the composition {!Killmatrix} itself cannot perform from
-    below the library's main module. The matrix scans {e without}
-    sibling merging: the merge is presentation-level (one defect, one
-    finding for the human reader), while the matrix asks which rules
-    {e detect} a mutant — a token rule deduped into its AST sibling at
-    the same line still fired, and its kill is credited. Waivers apply
-    as in the merged scan. *)
+    below the library's main module. The matrix scans exactly what
+    [@lint] scans, waivers included. *)
 let killmatrix ~context mutants =
-  Killmatrix.run ~scan:(scan_files ~merge_siblings:false) ~context mutants
+  Killmatrix.run ~scan:scan_files ~context mutants

@@ -1,9 +1,9 @@
-(** Helping-discipline v2 (rules [static-retry], [static-deadline]).
+(** Helping discipline (rule [static-retry]).
 
-    The token lint's retry rules recognize helping by substring — an
-    identifier containing [help], [moundify] or [complete] — which an
-    alias ([let restore = moundify]) or a rename defeats in both
-    directions. This pass replaces the heuristic with call-graph facts:
+    Recognizing helping by substring — an identifier containing [help],
+    [moundify] or [complete] — is defeated in both directions by an
+    alias ([let restore = moundify]) or a rename. This pass decides it
+    from call-graph facts instead:
     a function that is part of a call-graph cycle (an unbounded retry
     loop, whether self-recursive, mutually recursive, or spinning
     through a nested loop) and whose transitive effects include a CAS
@@ -19,8 +19,8 @@
     paper's discipline ([insert] backs off, [extract] helps via
     [moundify]).
 
-    Paths exempt from the token helping rules ([runtime], [sim],
-    [baselines]) are exempt here for the same reasons. *)
+    Paths exempt from [alloc-in-retry] ([runtime], [sim], [baselines])
+    are exempt here for the same reasons. *)
 
 let scan (cg : Callgraph.t) : Lint_rules.finding list =
   let fns = Callgraph.fns cg in
@@ -45,31 +45,6 @@ let scan (cg : Callgraph.t) : Lint_rules.finding list =
                   "retry loop %s performs a CAS but its call graph \
                    reaches neither a helping routine nor a backoff; \
                    help the obstructing operation or back off"
-                  (String.concat "." f.fpath);
-            }
-            :: !out;
-        (* Disjoint complement, the AST twin of [deadline-blind]: a
-           waiting loop (backs off, does not help) whose call graph
-           never consults a deadline keeps waiting behind a dead peer
-           forever. The substrate cut applies to [checks_deadline] as
-           to [helps]: the caller must bring its own bound. *)
-        if
-          Callgraph.self_reachable cg i
-          && eff.performs_cas && eff.backs_off
-          && (not eff.helps)
-          && not eff.checks_deadline
-        then
-          out :=
-            {
-              Lint_rules.file = f.ffile;
-              line = f.fline;
-              rule = "static-deadline";
-              msg =
-                Printf.sprintf
-                  "retry loop %s backs off but its call graph never \
-                   consults a deadline; bound the wait (the _until / \
-                   expired family) or record why waiting forever is \
-                   safe"
                   (String.concat "." f.fpath);
             }
             :: !out

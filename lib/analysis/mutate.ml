@@ -58,20 +58,20 @@ let catalog : op list =
     {
       op_name = "drop-backoff";
       op_descr = "delete a cpu_relax/exponential backoff call site";
-      op_rules = [ "static-retry"; "retry-no-backoff" ];
+      op_rules = [ "static-retry" ];
       op_twin = None;
     };
     {
       op_name = "drop-deadline";
       op_descr = "replace a deadline-expiry check with false (spin forever)";
-      op_rules = [ "static-deadline" ];
+      op_rules = [];
       op_twin = None;
     };
     {
       op_name = "drop-help";
       op_descr =
         "delete every helping call (moundify/complete) from a retry loop";
-      op_rules = [ "static-retry"; "static-deadline" ];
+      op_rules = [ "static-retry" ];
       op_twin = None;
     };
     {
@@ -100,13 +100,13 @@ let catalog : op list =
       op_descr =
         "republish the shared read and mutate its field in place \
          (fresh-copy discipline deleted)";
-      op_rules = [ "stale-publish"; "post-publish-mutation" ];
+      op_rules = [ "stale-publish" ];
       op_twin = None;
     };
     {
       op_name = "swap-lock-order";
       op_descr = "swap an adjacent pair of lock acquisitions";
-      op_rules = [ "lock-order" ];
+      op_rules = [];
       op_twin = Some "lock-inversion-deadlock";
     };
     {
@@ -125,12 +125,6 @@ let catalog : op list =
       op_name = "demote-atomic-get";
       op_descr = "bypass the Runtime functor with a direct Stdlib.Atomic.get";
       op_rules = [ "boundary" ];
-      op_twin = None;
-    };
-    {
-      op_name = "discard-cas";
-      op_descr = "ignore a CAS result, deleting its failure path";
-      op_rules = [ "cas-discard" ];
       op_twin = None;
     };
     {
@@ -880,8 +874,9 @@ let sites_swap_lock_order p src =
           (* [match acquire parent with Some wp -> match acquire child]:
              the hand-over-hand pair of the deadline-aware paths. The
              swap inverts parent/child; the enabling edits let the
-             summary track the acquisition so lock-order proves the
-             inversion statically. *)
+             summary track both acquisitions, so lock-leak sees the
+             swapped releases no longer match them. The deadlock itself
+             is the [lock-inversion-deadlock] twin's to certify. *)
           List.iter
             (fun c ->
               match c.pc_rhs.pexp_desc with
@@ -1002,28 +997,6 @@ let sites_demote_atomic_get p _src =
                   s_note = "Runtime read demoted to Stdlib.Atomic.get";
                   s_edits =
                     [ { e_start = a; e_stop = b; e_text = "Stdlib.Atomic.get" } ];
-                }
-                :: !out
-          | _ -> ())
-      | _ -> ());
-  !out
-
-let sites_discard_cas p src =
-  let out = ref [] in
-  on_exprs p (fun e ->
-      match e.pexp_desc with
-      | Pexp_ifthenelse (cond, _, None) -> (
-          match cond.pexp_desc with
-          | Pexp_apply
-              ( { pexp_desc = Pexp_ident { txt = Lident "not"; _ }; _ },
-                [ (Asttypes.Nolabel, arg) ] )
-            when cas_app arg <> None ->
-              out :=
-                {
-                  s_line = line_of e;
-                  s_note = "CAS failure path deleted, result ignored";
-                  s_edits =
-                    [ replace e (Printf.sprintf "ignore (%s)" (expr_src src arg)) ];
                 }
                 :: !out
           | _ -> ())
@@ -1253,7 +1226,6 @@ let collectors =
     ("drop-unlock", sites_drop_unlock);
     ("drop-pad", sites_drop_pad);
     ("demote-atomic-get", sites_demote_atomic_get);
-    ("discard-cas", sites_discard_cas);
     ("alloc-in-retry", sites_alloc_in_retry);
     ("mutabilize", sites_mutabilize);
     ("drop-waiver", sites_drop_waiver);

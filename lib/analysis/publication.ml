@@ -1,5 +1,4 @@
-(** Publication-safety analysis (rules [stale-publish],
-    [post-publish-mutation]).
+(** Publication-safety analysis (rule [stale-publish]).
 
     The lock-free mound's correctness rests on fresh-copy publication
     (paper Listing 2): every CAS/DCSS installs a {e newly allocated}
@@ -9,15 +8,14 @@
     racy write other threads can observe half-done, and re-publishing a
     record previously read from a location re-introduces ABA.
 
-    Per function, in evaluation order:
-
-    - a CAS-family fresh-value argument that is a variable bound to a
-      {e shared read} ([M.get]/[R.Atomic.get]-shaped call) is flagged
-      [stale-publish] — the dirty-bit idiom must go through a fresh
-      copy, not recycle what it read;
-    - a field assignment [v.f <- e] where [v] was earlier passed as a
-      CAS fresh value, or was bound to a shared read, is flagged
-      [post-publish-mutation] — mutation after (or of) shared state.
+    Per function, in evaluation order, a CAS-family fresh-value argument
+    that is a variable bound to a {e shared read} ([M.get]/
+    [R.Atomic.get]-shaped call) is flagged [stale-publish] — the
+    dirty-bit idiom must go through a fresh copy, not recycle what it
+    read. A plain field write through a published record is not
+    flagged on its own: the [inplace-publish] mutants pair it with the
+    republication this rule catches, and the DPOR tier certifies the
+    double delivery it causes.
 
     Calls into functions that forward a parameter to a fresh-value slot
     ({!Lf_mound}'s [cas_reusing]/[dcss_reusing]; the {!Summary}
@@ -47,7 +45,6 @@ let scan_fn (cg : Callgraph.t) (f : Summary.fn) : Lint_rules.finding list =
     Callgraph.resolve ~from_file:f.ffile cg (Summary.resolve_call scope segs)
   in
   let bindings : (string, binding) Hashtbl.t = Hashtbl.create 8 in
-  let published : (string, int) Hashtbl.t = Hashtbl.create 4 in
   let classify e =
     let e = Summary.strip_casts e in
     match e.pexp_desc with
@@ -64,17 +61,14 @@ let scan_fn (cg : Callgraph.t) (f : Summary.fn) : Lint_rules.finding list =
   in
   let publish_site line arg =
     match (Summary.strip_casts arg).pexp_desc with
-    | Pexp_ident { txt = Lident v; _ } -> (
-        (match Hashtbl.find_opt bindings v with
-        | Some Shared_read ->
-            add line "stale-publish"
-              (Printf.sprintf
-                 "publishes %s, a record read from shared memory; CAS \
-                  must install a freshly allocated copy (ABA and torn \
-                  observation risk)"
-                 v)
-        | _ -> ());
-        Hashtbl.replace published v line)
+    | Pexp_ident { txt = Lident v; _ }
+      when Hashtbl.find_opt bindings v = Some Shared_read ->
+        add line "stale-publish"
+          (Printf.sprintf
+             "publishes %s, a record read from shared memory; CAS must \
+              install a freshly allocated copy (ABA and torn observation \
+              risk)"
+             v)
     | _ -> ()
   in
   let rec walk e =
@@ -119,30 +113,6 @@ let scan_fn (cg : Callgraph.t) (f : Summary.fn) : Lint_rules.finding list =
                     g.fpublishes
               | None -> ())
         | None -> walk head)
-    | Pexp_setfield (r, _, v) -> (
-        walk v;
-        walk r;
-        match Summary.base_var r with
-        | Some bv -> (
-            let line = Frontend.line_of_loc e.pexp_loc in
-            match (Hashtbl.find_opt published bv, Hashtbl.find_opt bindings bv)
-            with
-            | Some pline, _ ->
-                add line "post-publish-mutation"
-                  (Printf.sprintf
-                     "mutates a field of %s after it was published by the \
-                      CAS at line %d; other threads already see this \
-                      record — publish a fresh copy instead"
-                     bv pline)
-            | None, Some Shared_read ->
-                add line "post-publish-mutation"
-                  (Printf.sprintf
-                     "mutates a field of %s, which was read from shared \
-                      memory; in-place writes race with concurrent \
-                      readers — publish a fresh copy instead"
-                     bv)
-            | _ -> ())
-        | None -> ())
     | Pexp_sequence (a, b) ->
         walk a;
         walk b
@@ -160,7 +130,7 @@ let scan_fn (cg : Callgraph.t) (f : Summary.fn) : Lint_rules.finding list =
     | Pexp_open (_, b)
     | Pexp_assert b ->
         walk b
-    | Pexp_while (a, b) ->
+    | Pexp_while (a, b) | Pexp_setfield (a, _, b) ->
         walk a;
         walk b
     | Pexp_for (_, a, b, _, c) ->

@@ -44,7 +44,6 @@ type effects = {
   performs_cas : bool;
   helps : bool;
   backs_off : bool;
-  checks_deadline : bool;
   acquires_lock : bool;
   releases_lock : bool;
   allocates : bool;
@@ -58,7 +57,6 @@ let no_effects =
     performs_cas = false;
     helps = false;
     backs_off = false;
-    checks_deadline = false;
     acquires_lock = false;
     releases_lock = false;
     allocates = false;
@@ -70,7 +68,6 @@ let union_effects a b =
     performs_cas = a.performs_cas || b.performs_cas;
     helps = a.helps || b.helps;
     backs_off = a.backs_off || b.backs_off;
-    checks_deadline = a.checks_deadline || b.checks_deadline;
     acquires_lock = a.acquires_lock || b.acquires_lock;
     releases_lock = a.releases_lock || b.releases_lock;
     allocates = a.allocates || b.allocates;
@@ -109,18 +106,10 @@ and scope = {
 
 let cas_family = [ "cas"; "casn"; "dcas"; "dcss"; "compare_and_set" ]
 
-(* Deadline awareness by vocabulary, the AST mirror of the token lint's
-   [is_deadline]: a name (identifier segment or labelled argument)
-   carrying the [_until] / [deadline] / [expired] vocabulary. *)
 let contains_sub s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
-
-let deadline_name s =
-  let s = String.lowercase_ascii s in
-  contains_sub s "deadline" || contains_sub s "until"
-  || contains_sub s "expired"
 
 (* 0-based positions (among [Nolabel] arguments) of the freshly-published
    value for each CAS-family operation, and of the location being
@@ -273,14 +262,6 @@ let rec walk ~file ~scope ~params ~fnpath col disc expr =
   match expr.pexp_desc with
   | Pexp_apply (head, args) -> (
       List.iter
-        (fun (lbl, _) ->
-          match lbl with
-          | Asttypes.Labelled s | Asttypes.Optional s ->
-              if deadline_name s then
-                col.eff <- { col.eff with checks_deadline = true }
-          | Asttypes.Nolabel -> ())
-        args;
-      List.iter
         (fun (_, a) ->
           match a.pexp_desc with
           | Pexp_fun _ | Pexp_function _ ->
@@ -298,8 +279,6 @@ let rec walk ~file ~scope ~params ~fnpath col disc expr =
           let resolved = resolve_call scope segs in
           let line = Frontend.line_of_loc expr.pexp_loc in
           col.calls <- { callee = resolved; call_line = line } :: col.calls;
-          if List.exists deadline_name segs then
-            col.eff <- { col.eff with checks_deadline = true };
           let nargs = nolabel_args args in
           let arg i = List.nth_opt nargs i in
           if dotted && List.mem last cas_family then begin
@@ -533,11 +512,6 @@ let rec walk ~file ~scope ~params ~fnpath col disc expr =
         | _ -> scope
       in
       walk ~file ~scope:scope' ~params ~fnpath col disc e
-  | Pexp_ident _ -> (
-      match flatten_ident expr with
-      | Some segs when List.exists deadline_name segs ->
-          col.eff <- { col.eff with checks_deadline = true }
-      | _ -> ())
   | _ -> ()
 
 (* Summarize one function binding; returns the function followed by its

@@ -272,8 +272,6 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
       implements the naive k-CSS scheme with a CASN whose upper legs
       rewrite each ancestor to itself, so benches can quantify what the
       DCSS insight saves. *)
-  (* lint: allow — deliberately naive ablation baseline: the paper's
-     strawman k-CSS insert retries without backoff by construction *)
   let rec insert_kcss t v =
     let c = T.find_insert_point t.tree ~ge:(fits t v) in
     (* Snapshot the whole ancestor chain root..c. *)

@@ -289,80 +289,61 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
         if second <> first then take_at ?max_level t second ~all else []
     | taken -> taken
 
+  exception Gave_up
+
   (* Deterministic rotation over every queue, restarted while the size
-     counter says elements remain. Terminates with [Ok None] only on a
-     zero counter read — the sound emptiness point — and with [Timeout]
-     once the deadline passes. No randomness is drawn here. *)
-  let rec scan t i left rounds ~deadline =
+     counter says elements remain, taking as [take_at] does. Returns
+     [[]] only on a zero counter read — the sound emptiness point — and
+     raises [Gave_up] once the deadline passes. No randomness is drawn
+     here. *)
+  let rec scan t i left rounds ~all ~deadline =
     if left = 0 then begin
-      if R.Atomic.get t.size = 0 then Intf.Ok None
-      else if expired ~deadline then begin
-        t.ops.deadline_timeouts <- t.ops.deadline_timeouts + 1;
-        Intf.Timeout
-      end
+      if R.Atomic.get t.size = 0 then []
+      else if expired ~deadline then raise_notrace Gave_up
       else begin
         t.ops.extract_retries <- t.ops.extract_retries + 1;
         if rounds = near_miss_spins then
           t.ops.livelock_near_misses <- t.ops.livelock_near_misses + 1;
         R.cpu_relax ();
-        scan t i (Array.length t.cells) (rounds + 1) ~deadline
+        scan t i (Array.length t.cells) (rounds + 1) ~all ~deadline
       end
     end
     else
-      match take_at t i ~all:false with
-      | v :: _ -> Intf.Ok (Some v)
+      match take_at t i ~all with
       | [] ->
-          scan t ((i + 1) mod Array.length t.cells) (left - 1) rounds ~deadline
-
-  let extract_min_until t ~deadline =
-    let slot = slot_for t in
-    let first = sticky_del t slot in
-    match take_pair t slot first ~all:false with
-    | v :: _ -> Intf.Ok (Some v)
-    | [] ->
-        (* both samples empty or busy: re-roll on the next op, and
-           decide emptiness via the full counter-guarded rotation *)
-        slot.del_left <- 0;
-        let nq = Array.length t.cells in
-        scan t ((first + 1) mod nq) nq 0 ~deadline
-
-  let extract_min t =
-    match extract_min_until t ~deadline:Intf.no_deadline with
-    | Intf.Ok r -> r
-    | Timeout | Rejected -> assert false (* no deadline: scan never gives up *)
-
-  (* lint: allow — [extract_many] has no deadline variant in the MOUND
-     signature (matching the other mound variants); the wait resolves as
-     soon as any lock holder releases, and a zero counter read exits. *)
-  let rec take_scan t i left =
-    if left = 0 then begin
-      if R.Atomic.get t.size = 0 then []
-      else begin
-        t.ops.extract_retries <- t.ops.extract_retries + 1;
-        R.cpu_relax ();
-        take_scan t i (Array.length t.cells)
-      end
-    end
-    else
-      match take_at t i ~all:true with
-      | [] -> take_scan t ((i + 1) mod Array.length t.cells) (left - 1)
+          scan t ((i + 1) mod Array.length t.cells) (left - 1) rounds ~all
+            ~deadline
       | taken -> taken
 
-  (* Take one queue's whole root list: the relaxed analogue of the
-     paper's extract-many (its head is that queue's minimum, not
-     necessarily the global one). Same two-choice + counter-guarded
-     rotation as [extract_min], so an empty result means an observed
-     empty structure; the rotation is [take_scan], which has no
-     deadline to honour. *)
-  let extract_many t =
+  (* Sample the sticky delete pair; when both samples are empty or busy,
+     re-roll on the next op and decide emptiness via the full
+     counter-guarded rotation. With [~all] this is the relaxed analogue
+     of the paper's extract-many: one queue's whole root list, headed by
+     that queue's minimum, not necessarily the global one. *)
+  let take t ~all ~deadline =
     let slot = slot_for t in
     let first = sticky_del t slot in
-    match take_pair t slot first ~all:true with
+    match take_pair t slot first ~all with
     | [] ->
         slot.del_left <- 0;
         let nq = Array.length t.cells in
-        take_scan t ((first + 1) mod nq) nq
+        scan t ((first + 1) mod nq) nq 0 ~all ~deadline
     | taken -> taken
+
+  let extract_min_until t ~deadline =
+    match take t ~all:false ~deadline with
+    | [] -> Intf.Ok None
+    | v :: _ -> Intf.Ok (Some v)
+    | exception Gave_up ->
+        t.ops.deadline_timeouts <- t.ops.deadline_timeouts + 1;
+        Intf.Timeout
+
+  let extract_min t =
+    match take t ~all:false ~deadline:Intf.no_deadline with
+    | [] -> None
+    | v :: _ -> Some v
+
+  let extract_many t = take t ~all:true ~deadline:Intf.no_deadline
 
   (* Doubly approximate: sample the sticky pair, then let the inner
      mound's probabilistic extract pick a near-minimum within it. Busy

@@ -2,8 +2,9 @@
 
     A mutant the static rule union lets through is not automatically a
     soundness gap: some defect classes (size-counter drift, a stale
-    cached top, a sibling lock-order swap) are invisible to parse-time
-    analysis {e by design} and covered by the dynamic tiers instead.
+    cached top, a swapped lock-acquisition pair) are invisible to
+    parse-time analysis {e by design} and covered by the dynamic tiers
+    instead.
     The operator catalog maps each such class to a named {e twin} — a
     small canned simulator program expressing the defect the operator
     plants — and this module runs them: a twin whose checker reports a
@@ -77,9 +78,6 @@ let stale_top_program : Check.program =
    swap creates. The liveness checker must confirm a fair no-write
    cycle (deadlock). *)
 let lock_inversion_program : Liveness.program =
-  (* lint: allow — deliberately unbounded spin: this fixture must be
-     able to deadlock so the liveness twin can certify the
-     swap-lock-order mutant class *)
   let prepare () =
     Sim.Sched.seed_ambient 17L;
     let l0 = A.make false and l1 = A.make false in

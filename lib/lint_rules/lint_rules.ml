@@ -11,15 +11,6 @@
     - [mutable] record fields in a type that the same file publishes
       through an [Atomic.t] cell — such records look atomic but their
       fields are plain racy memory;
-    - violations of the helping discipline the lock-free mound depends
-      on (rules [dirty-spin], [cas-discard], [retry-no-backoff]): a
-      retry loop that re-tests a [dirty] bit without calling a
-      restoration/helping routine, a compare-and-set whose result is
-      silently discarded, and an unbounded retry loop around a CAS with
-      neither backoff nor helping. Recognition is by naming convention:
-      an identifier containing [help], [moundify] or [complete] marks a
-      helping call; one containing [backoff], [exponential] or
-      [cpu_relax] marks backoff;
     - allocation inside a CAS retry loop (rule [alloc-in-retry]): in a
       recursive chunk that performs a CAS, an [Array.make]/[Array.init],
       [Bytes.create]/[Bytes.make], [lazy] or [ref]-application token
@@ -42,11 +33,15 @@
     which no waiver can silence. The exemption for [lib/runtime] and
     [lib/sim] is by path: any file with a [runtime] or [sim] directory
     component may touch the forbidden primitives — they are the
-    boundary. [lib/baselines] is exempt from the helping rules only:
+    boundary. [lib/baselines] is exempt from [alloc-in-retry] only:
     its files reproduce published third-party algorithms (Hunt heap,
     Lotan–Shavit and lock-free skiplists) whose loops are faithful to
-    the originals, and the mound's helping discipline does not apply to
-    them. *)
+    the originals.
+
+    The mound's helping discipline (a CAS retry loop must help or back
+    off) is not checked here: substring matching on helper names is
+    defeated by an alias, so it lives in the AST engine's
+    [static-retry] rule, which decides it from call-graph facts. *)
 
 type finding = { file : string; line : int; rule : string; msg : string }
 
@@ -70,11 +65,6 @@ let is_ident_char c =
   || (c >= 'A' && c <= 'Z')
   || (c >= '0' && c <= '9')
   || c = '_' || c = '\''
-
-let has_sub s sub =
-  let ls = String.length s and lb = String.length sub in
-  let rec go i = i + lb <= ls && (String.sub s i lb = sub || go (i + 1)) in
-  go 0
 
 (* A waiver's reason is whatever follows the marker inside the comment;
    demand enough of it to actually say something. *)
@@ -406,7 +396,7 @@ let scan_mutable_atomic ~file s idx =
         else None)
       recs
 
-(* ---- helping-discipline rules ------------------------------------------ *)
+(* ---- CAS-loop recognition ---------------------------------------------- *)
 
 let last_seg tok =
   match String.rindex_opt tok '.' with
@@ -430,17 +420,6 @@ let is_cas clean (tok, off) =
     incr j
   done;
   not (!j + 1 < n && clean.[!j] = '<' && clean.[!j + 1] = '-')
-
-let is_help tok =
-  has_sub tok "help" || has_sub tok "moundify" || has_sub tok "complete"
-
-let is_backoff tok =
-  has_sub tok "ackoff" || has_sub tok "exponential" || has_sub tok "cpu_relax"
-
-(* Deadline awareness by vocabulary: the [_until] operation family, the
-   [expired]/[deadline] helpers, or a [no_deadline] plumb-through. *)
-let is_deadline tok =
-  has_sub tok "deadline" || has_sub tok "until" || has_sub tok "expired"
 
 (* Top-level-ish definition chunks: a chunk starts at each [let] that
    begins a line at indentation <= 2 (file scope, or the body of one
@@ -484,207 +463,13 @@ let chunks clean idx =
   flush ();
   List.rev !out
 
-(* Is the [.dirty] access at [off] (token [tok]) a branch test? Walk the
-   line backwards over the receiver expression: a test is introduced by
-   [if]/[while] (possibly through [not] and parentheses) or continues a
-   condition after [&&]/[||]. [dirty = cur.dirty] in a record copy walks
-   back to [=] and is not a test. *)
-let dirty_test clean off =
-  let i = ref (off - 1) in
-  let continue_ = ref true and verdict = ref false in
-  while !continue_ do
-    while !i >= 0 && (clean.[!i] = ' ' || clean.[!i] = '(') do
-      decr i
-    done;
-    if !i < 0 || clean.[!i] = '\n' then continue_ := false
-    else if clean.[!i] = '&' || clean.[!i] = '|' then begin
-      verdict := true;
-      continue_ := false
-    end
-    else if is_ident_char clean.[!i] then begin
-      let e = !i in
-      while !i >= 0 && is_ident_char clean.[!i] do
-        decr i
-      done;
-      let w = String.sub clean (!i + 1) (e - !i) in
-      if w = "if" || w = "while" then begin
-        verdict := true;
-        continue_ := false
-      end
-      else if w <> "not" then continue_ := false
-    end
-    else continue_ := false
-  done;
-  !verdict
-
-(* After a CAS in statement-looking position (a [;] precedes it), decide
-   whether its value nevertheless flows somewhere: scan {e forward} past
-   the call for the first decisive token at bracket depth <= 0. [in],
-   [then], [else], [&&], [||] and [|>] mean the CAS ends a sequence whose
-   value is bound or tested ([let ok = bump (); M.cas ... in ...] — the
-   multiline-split shape that used to false-positive); a further [;],
-   [done] or end of file means the value really is dropped. Unmatched
-   closing brackets are transparent: the value flows out of the
-   parenthesis to whatever consumes it there. *)
-let value_consumed_ahead clean off =
-  let n = String.length clean in
-  let depth = ref 0 in
-  let i = ref off in
-  let verdict = ref None in
-  while !verdict = None && !i < n do
-    let c = clean.[!i] in
-    if c = '(' || c = '[' || c = '{' then begin
-      incr depth;
-      incr i
-    end
-    else if c = ')' || c = ']' || c = '}' then begin
-      decr depth;
-      incr i
-    end
-    else if !depth > 0 then incr i
-    else if c = ';' then verdict := Some false
-    else if c = '&' && !i + 1 < n && clean.[!i + 1] = '&' then
-      verdict := Some true
-    else if c = '|' && !i + 1 < n && clean.[!i + 1] = '|' then
-      verdict := Some true
-    else if c = '|' && !i + 1 < n && clean.[!i + 1] = '>' then
-      verdict := Some true
-    else if is_ident_char c then begin
-      let start = !i in
-      while !i < n && is_ident_char clean.[!i] do
-        incr i
-      done;
-      match String.sub clean start (!i - start) with
-      | "in" | "then" | "else" -> verdict := Some true
-      | "done" -> verdict := Some false
-      | _ -> ()
-    end
-    else incr i
-  done;
-  Option.value !verdict ~default:false
-
-(* Is the CAS-family call at [off] discarded? [ignore (M.cas ...)],
-   [let _ = M.cas ...], or statement position after [;] — unless the
-   forward scan shows the sequence's value is consumed. *)
-let cas_discarded clean off =
-  let i = ref (off - 1) in
-  let skip_ws () =
-    while
-      !i >= 0 && (clean.[!i] = ' ' || clean.[!i] = '\n' || clean.[!i] = '\t')
-    do
-      decr i
-    done
-  in
-  let prev_word () =
-    let e = !i in
-    while !i >= 0 && is_ident_char clean.[!i] do
-      decr i
-    done;
-    String.sub clean (!i + 1) (e - !i)
-  in
-  skip_ws ();
-  if !i < 0 then false
-  else if clean.[!i] = ';' then not (value_consumed_ahead clean off)
-  else if clean.[!i] = '(' then begin
-    decr i;
-    skip_ws ();
-    !i >= 0 && is_ident_char clean.[!i] && prev_word () = "ignore"
-  end
-  else if clean.[!i] = '=' then begin
-    decr i;
-    skip_ws ();
-    !i >= 0 && is_ident_char clean.[!i] && prev_word () = "_"
-  end
-  else false
-
 (* [lib/baselines] reproduces third-party algorithms structurally
-   faithful to their publications; the mound's helping discipline does
-   not bind them (the runtime-boundary rules still do). *)
+   faithful to their publications; the mound's retry-loop discipline
+   does not bind them (the runtime-boundary rules still do). *)
 let helping_exempt_path path =
   exempt_path path
   || String.split_on_char '/' path
      |> List.exists (fun seg -> seg = "baselines")
-
-let scan_helping ~path ~file s idx =
-  if helping_exempt_path path then []
-  else
-    List.concat_map
-      (fun ch ->
-        let has p = List.exists (fun (t, _) -> p t) ch.c_toks in
-        let helped = has is_help in
-        let has_cas_call = List.exists (is_cas s.clean) ch.c_toks in
-        let out = ref [] in
-        if ch.c_rec && has_cas_call && (not (has is_backoff)) && not helped
-        then
-          out :=
-            {
-              file;
-              line = ch.c_line;
-              rule = "retry-no-backoff";
-              msg =
-                "unbounded retry loop around a compare-and-set with \
-                 neither backoff nor helping";
-            }
-            :: !out;
-        (* Disjoint complement of retry-no-backoff: the loop does wait
-           between attempts, but nothing bounds how long it keeps
-           waiting — a dead peer wedges it forever. Helping loops are
-           exempt (bounded by global progress, the lock-free argument);
-           everything else must consult a deadline on the retry path. *)
-        if
-          ch.c_rec && has_cas_call && has is_backoff && (not helped)
-          && not (has is_deadline)
-        then
-          out :=
-            {
-              file;
-              line = ch.c_line;
-              rule = "deadline-blind";
-              msg =
-                "retry loop backs off but never consults a deadline; \
-                 unbounded waiting wedges behind a dead peer — thread \
-                 ~deadline through (the _until / expired family) or \
-                 record why waiting forever is safe";
-            }
-            :: !out;
-        if ch.c_rec && not helped then
-          List.iter
-            (fun (t, off) ->
-              if
-                last_seg t = "dirty"
-                && String.contains t '.'
-                && dirty_test s.clean off
-              then
-                out :=
-                  {
-                    file;
-                    line = line_of idx off;
-                    rule = "dirty-spin";
-                    msg =
-                      "retry loop re-tests a dirty bit without helping; \
-                       call the restoration routine (moundify) instead \
-                       of spinning";
-                  }
-                  :: !out)
-            ch.c_toks;
-        if not helped then
-          List.iter
-            (fun (t, off) ->
-              if is_cas s.clean (t, off) && cas_discarded s.clean off then
-                out :=
-                  {
-                    file;
-                    line = line_of idx off;
-                    rule = "cas-discard";
-                    msg =
-                      "compare-and-set result silently discarded; branch \
-                       on it (retry or help) or record why it is \
-                       irrelevant";
-                  }
-                  :: !out)
-            ch.c_toks;
-        List.rev !out)
-      (chunks s.clean idx)
 
 (* ---- allocation-in-retry-loop rule ------------------------------------- *)
 
@@ -722,8 +507,8 @@ let is_alloc clean (tok, off) =
    keyword of a chunk that performs a CAS runs again on every failed
    attempt. Fresh records for the CAS itself are fine (record literals
    are not tokens); arrays, lazies and refs built per attempt are the
-   pattern this PR's hot-path pass removes, so the lint keeps them from
-   coming back. *)
+   pattern the hot-path pass removed, so the lint keeps them from coming
+   back. *)
 let scan_alloc_retry ~path ~file s idx =
   if helping_exempt_path path then []
   else
@@ -800,7 +585,6 @@ let scan_raw ~path src =
   let boundary = if s.file_waived then [] else boundary_all in
   let base =
     boundary
-    @ scan_helping ~path ~file:path s idx
     @ scan_alloc_retry ~path ~file:path s idx
     @ scan_format ~file:path src
   in

@@ -6,14 +6,14 @@
      it, and the winning extractor skips restoration too — the paper's
      L24–L26 replaced by a bare retry. Once any extraction wins, the
      root is dirty forever and every later extraction spins: the
-     liveness checker must confirm a non-progress cycle, and the lint
-     must flag both the dirty re-test ([dirty-spin]) and the bare retry
-     ([retry-no-backoff]).
+     liveness checker must confirm a non-progress cycle, and the
+     [static-retry] lint must flag the retry loop that neither helps
+     nor backs off.
 
    - [No_backoff]: a lock-free CAS insert with the exponential backoff
      deleted. Still lock-free — certification stays green — but the
-     [retry-no-backoff] lint must flag it: the point of that rule is
-     exactly that progress and contention behavior are separate claims.
+     [static-retry] lint must flag it: progress and contention behavior
+     are separate claims.
 
    - [Lock_inverted]: the locking mound's hand-over-hand acquisition
      with the parent/child order flipped on one side (upstream locks
@@ -22,7 +22,7 @@
      one lock and spins reading the other: the checker must confirm a
      fair cycle with no writes in the pump — a deadlock.
 
-   This file is scanned by [test_progress] with {!Lint_rules.scan_file}
+   This file is scanned by [test_progress] with {!Analysis.scan_file}
    as the lint's acceptance fixture; it must stay outside [lib/] so the
    shipped-tree lint stays clean. *)
 

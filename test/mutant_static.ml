@@ -6,25 +6,23 @@
 
    - [Lock_inverted_static]: the locking mound's hand-over-hand
      acquisition with the child locked before its parent, over the real
-     [c]/[c / 2] index arithmetic. The lock-order analysis must flag
-     the ancestor acquisition while a descendant is held; under the
-     liveness checker the same code deadlocks against a correctly
-     ordered peer (a fair no-write cycle), mirroring
-     [Mutant_live.Lock_inverted].
+     [c]/[c / 2] index arithmetic. Every lock is released, so lock-leak
+     stays silent; under the liveness checker the same code deadlocks
+     against a correctly ordered peer (a fair no-write cycle),
+     mirroring [Mutant_live.Lock_inverted].
 
    - [Post_publish_mutation]: an extraction that CASes the root record
      onto itself and then mutates its list field in place — the
      fresh-copy publication discipline of paper Listing 2 deleted. The
-     publication analysis must flag both halves (re-publishing a shared
-     read, then writing through it); under DPOR the two-extract
-     interleaving double-delivers the minimum, breaking
-     linearizability.
+     publication analysis must flag the re-publication of the shared
+     read (stale-publish); under DPOR the two-extract interleaving
+     double-delivers the minimum, breaking linearizability.
 
    - [Aliased_helper_dropped]: an extraction retry loop that binds the
      helper under another name ([let restore = moundify]) and never
-     calls it. The token lint's substring heuristic sees "moundify" in
-     the chunk and stays silent; helping-discipline v2 works on the
-     call graph and must flag the loop. [Aliased_helper_kept] is the
+     calls it. A substring heuristic would see "moundify" in the loop
+     and stay silent; static-retry works on the call graph and must
+     flag the loop. [Aliased_helper_kept] is the
      negative twin — same alias, actually invoked — that must stay
      clean. The dynamic analog (helping deleted means the victim's
      obstruction is never cleared) is [Mutant_live.No_help].
@@ -51,8 +49,8 @@
 
    - [Published_record_write]: a record boxed into an atomic cell whose
      mutable field is then bumped in place through a plain field write
-     on the shared read — post-publish-mutation must flag the in-place
-     write.
+     on the shared read — mutable-atomic must flag the mutable field
+     the atomic publishes.
 
    This file is scanned as source by [test_analysis] (a declared dep of
    the test stanza); it must stay outside [lib/] so the shipped-tree
@@ -380,7 +378,7 @@ module Published_record_write = struct
 
   type slab = { mutable used : int; cap : int }
 
-  let create () = R.Atomic.make { used = 0; cap = 8 }
+  let create () : slab R.Atomic.t = R.Atomic.make { used = 0; cap = 8 }
 
   (* THE MUTATION: the record travels through the atomic cell, but the
      claim bumps its mutable field in place — a plain write through a

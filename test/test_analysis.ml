@@ -11,7 +11,7 @@ let scan path src = Analysis.scan ~path src
 let with_rule r fs = List.filter (fun f -> f.Analysis.rule = r) fs
 let check_count what n fs = Alcotest.(check int) what n (List.length fs)
 
-(* ---- lock-order -------------------------------------------------------- *)
+(* ---- locking ---------------------------------------------------------- *)
 
 (* The locking mound's primitives, distilled: an acquire loop that backs
    off (so helping-discipline stays quiet) and a plain release. *)
@@ -33,7 +33,10 @@ let lock_prims =
   \  let cur = R.Atomic.get slot in\n\
   \  R.Atomic.set slot { cur with locked = false }\n\n"
 
-let test_lock_order () =
+(* Acquisition order is certified dynamically (the liveness and DPOR
+   tiers deadlock the inverted pair); statically, a pair released on
+   every path is balanced whatever its order. *)
+let test_lock_pairs_balanced () =
   let inverted =
     lock_prims
     ^ "let insert t c =\n\
@@ -44,8 +47,8 @@ let test_lock_order () =
       \  unlock pslot;\n\
       \  unlock cslot\n"
   in
-  let fs = with_rule "lock-order" (scan "lib/core/x.ml" inverted) in
-  check_count "child-before-parent flagged" 1 fs;
+  check_count "child-before-parent pair balanced" 0
+    (scan "lib/core/x.ml" inverted);
   let ordered =
     lock_prims
     ^ "let insert t c =\n\
@@ -56,9 +59,9 @@ let test_lock_order () =
       \  unlock cslot;\n\
       \  unlock pslot\n"
   in
-  check_count "parent-before-child fine" 0
-    (with_rule "lock-order" (scan "lib/core/x.ml" ordered));
-  (* siblings 2n / 2n+1 are unordered: the moundify shape *)
+  check_count "parent-before-child pair balanced" 0
+    (scan "lib/core/x.ml" ordered);
+  (* the moundify shape: siblings 2n / 2n+1, one release forgotten *)
   let siblings =
     lock_prims
     ^ "let swap t n =\n\
@@ -66,11 +69,14 @@ let test_lock_order () =
       \  let rslot = T.get_at t ((2 * n) + 1) in\n\
       \  set_lock lslot;\n\
       \  set_lock rslot;\n\
-      \  unlock rslot;\n\
       \  unlock lslot\n"
   in
-  check_count "siblings fine" 0
-    (with_rule "lock-order" (scan "lib/core/x.ml" siblings))
+  Alcotest.(check (list (pair string int)))
+    "the unreleased sibling leaks, keyed by its variable"
+    [ ("lock-leak", 24) ]
+    (List.map
+       (fun f -> (f.Analysis.rule, f.Analysis.line))
+       (scan "lib/core/x.ml" siblings))
 
 let test_lock_leak () =
   let leaky =
@@ -123,21 +129,25 @@ let test_stale_publish () =
   check_count "fresh copy fine" 0
     (with_rule "stale-publish" (scan "lib/core/x.ml" fresh))
 
-let test_post_publish_mutation () =
+(* Writing through a published record breaks fresh-copy publication
+   from the other side. The republication that precedes it is the
+   finding; a plain in-place bump of a shared read without any CAS is
+   the DPOR tier's to catch (the two-extract probe below). *)
+let test_republish_then_mutate () =
   let bad =
     "let extract q =\n\
     \  let root = M.get q in\n\
     \  if M.cas q root root then root.list <- []\n"
   in
-  check_count "mutation after publish flagged" 1
-    (with_rule "post-publish-mutation" (scan "lib/core/x.ml" bad));
+  Alcotest.(check (list string)) "republication flagged" [ "stale-publish" ]
+    (List.map (fun f -> f.Analysis.rule) (scan "lib/core/x.ml" bad));
   let shared =
     "let bump q =\n\
     \  let n = M.get q in\n\
     \  n.count <- n.count + 1\n"
   in
-  check_count "mutating a shared read flagged" 1
-    (with_rule "post-publish-mutation" (scan "lib/core/x.ml" shared));
+  check_count "in-place bump alone: no static finding" 0
+    (scan "lib/core/x.ml" shared);
   let local =
     "let build v =\n\
     \  let n = { count = 0; v } in\n\
@@ -145,22 +155,22 @@ let test_post_publish_mutation () =
     \  n\n"
   in
   check_count "mutating a local fresh record fine" 0
-    (with_rule "post-publish-mutation" (scan "lib/core/x.ml" local))
+    (scan "lib/core/x.ml" local)
 
-(* A record boxed into an atomic cell at creation, whose mutable label
-   is then bumped in place through the shared read: the in-place write
-   is the defect, and it is the only finding. *)
-let test_post_publish_boxed_record () =
+(* A record with a mutable field, boxed into an atomic cell and bumped
+   in place through the shared read: the mutable field behind the
+   [Atomic.t] is the defect, reported once at its declaration. *)
+let test_boxed_mutable_record () =
   let src =
     "type slab = { mutable used : int; cap : int }\n\n\
-     let create () = R.Atomic.make { used = 0; cap = 8 }\n\n\
+     let create () : slab R.Atomic.t = R.Atomic.make { used = 0; cap = 8 }\n\n\
      let claim cell =\n\
     \  let s = R.Atomic.get cell in\n\
     \  s.used <- s.used + 1\n"
   in
   Alcotest.(check (list (pair string int)))
-    "one finding, on the in-place bump"
-    [ ("post-publish-mutation", 7) ]
+    "one finding, on the declaration"
+    [ ("mutable-atomic", 1) ]
     (List.map
        (fun f -> (f.Analysis.rule, f.Analysis.line))
        (scan "lib/core/x.ml" src))
@@ -330,10 +340,10 @@ let test_static_retry () =
   check_count "baselines exempt" 0
     (with_rule "static-retry" (scan "lib/baselines/x.ml" bare))
 
-let test_static_deadline () =
-  (* the disjoint complement of static-retry: the loop backs off, so
-     static-retry is silent, but nothing in its call graph bounds the
-     wait *)
+(* A loop that backs off satisfies static-retry whether or not its call
+   graph consults a deadline: bounded waiting is certified dynamically
+   ([test_overload]). Dropping the wait makes it a bare retry. *)
+let test_static_retry_waiting () =
   let waiting =
     "let rec push q v =\n\
     \  if M.cas q 0 v then ()\n\
@@ -342,11 +352,8 @@ let test_static_deadline () =
     \    push q v\n\
     \  end\n"
   in
-  check_count "unbounded wait flagged" 1
-    (with_rule "static-deadline" (scan "lib/core/x.ml" waiting));
-  check_count "static-retry stays silent on it" 0
+  check_count "unbounded wait not flagged" 0
     (with_rule "static-retry" (scan "lib/core/x.ml" waiting));
-  (* a deadline consulted directly silences it *)
   let bounded =
     "let rec push q v deadline =\n\
     \  if R.monotonic_ns () > deadline then false\n\
@@ -356,42 +363,33 @@ let test_static_deadline () =
     \    push q v deadline\n\
     \  end\n"
   in
-  check_count "direct deadline silences" 0
-    (with_rule "static-deadline" (scan "lib/core/x.ml" bounded));
-  (* ... and one consulted through a callee the token engine cannot
-     see: the loop's own chunk names no deadline, the call graph does *)
-  let via_callee =
+  check_count "bounded wait not flagged" 0
+    (with_rule "static-retry" (scan "lib/core/x.ml" bounded));
+  (* the same loop with its wait deleted (the drop-backoff mutant) *)
+  let bare =
     "let out_of_time deadline =\n\
     \  R.monotonic_ns () > deadline\n\n\
-     let give_up d =\n\
-    \  out_of_time d\n\n\
      let rec push q v d =\n\
-    \  if give_up d then false\n\
+    \  if out_of_time d then false\n\
     \  else if M.cas q 0 v then true\n\
-    \  else begin\n\
-    \    R.cpu_relax ();\n\
-    \    push q v d\n\
-    \  end\n"
+    \  else push q v d\n"
   in
-  check_count "deadline through the call graph silences" 0
-    (with_rule "static-deadline" (scan "lib/core/x.ml" via_callee));
-  (* helping loops are exempt, as for static-retry *)
+  check_count "a deadline is no substitute for backoff" 1
+    (with_rule "static-retry" (scan "lib/core/x.ml" bare));
   let helping =
     "let finish q =\n\
     \  ignore (M.cas q cur { list = cur.list; dirty = false })\n\n\
      let rec pull q =\n\
     \  if M.cas q 0 1 then ()\n\
     \  else begin\n\
-    \    R.cpu_relax ();\n\
     \    finish q;\n\
     \    pull q\n\
     \  end\n"
   in
-  check_count "helping exempt" 0
-    (with_rule "static-deadline" (scan "lib/core/x.ml" helping));
-  (* exempt trees *)
+  check_count "helping loop not flagged" 0
+    (with_rule "static-retry" (scan "lib/core/x.ml" helping));
   check_count "baselines exempt" 0
-    (with_rule "static-deadline" (scan "lib/baselines/x.ml" waiting))
+    (with_rule "static-retry" (scan "lib/baselines/x.ml" bare))
 
 (* ---- aba-risk ---------------------------------------------------------- *)
 
@@ -648,32 +646,23 @@ let test_parse_error_reported () =
 (* ---- the seeded mutants ------------------------------------------------ *)
 
 let mutant_src = "mutant_static.ml"
+let contains = Analysis.Summary.contains_sub
 
 let scan_mutant () =
   if Sys.file_exists mutant_src then Some (Analysis.scan_file mutant_src)
   else None
 
-let test_mutant_lock_inverted_flagged () =
+(* The inverted acquisition pair is balanced: no static rule judges lock
+   order, the liveness tier deadlocks it (below). *)
+let test_mutant_lock_inverted_balanced () =
   match scan_mutant () with
   | None -> ()
-  | Some fs ->
-      let lo = with_rule "lock-order" fs in
-      check_count "one inversion" 1 lo;
-      Alcotest.(check bool) "names the ancestor/descendant order" true
-        (let f = List.hd lo in
-         f.Analysis.msg <> "" && f.Analysis.file = mutant_src);
-      (* the correctly ordered partner and the primitives stay clean *)
-      check_count "no leak" 0 (with_rule "lock-leak" fs)
+  | Some fs -> check_count "no leak" 0 (with_rule "lock-leak" fs)
 
 let test_mutant_post_publish_flagged () =
   match scan_mutant () with
   | None -> ()
-  | Some fs ->
-      check_count "stale publish" 1 (with_rule "stale-publish" fs);
-      (* the republished root, plus [Published_record_write]'s in-place
-         bump — the same discipline broken from the other direction *)
-      check_count "post-publish mutation" 2
-        (with_rule "post-publish-mutation" fs)
+  | Some fs -> check_count "stale publish" 1 (with_rule "stale-publish" fs)
 
 let test_mutant_aliased_helper_flagged () =
   match scan_mutant () with
@@ -689,15 +678,11 @@ let test_mutant_aliased_helper_flagged () =
            && (String.sub msg i (String.length sub) = sub || has (i + 1))
          in
          has 0);
-      (* the token engine's substring heuristic misses it: that gap is
-         the rule's reason to exist *)
-      let token = Lint_rules.scan_file mutant_src in
-      check_count "token lint blind to the alias" 0
+      (* the twin that calls the aliased helper is resolved as helping *)
+      check_count "the called alias stays silent" 0
         (List.filter
-           (fun f -> f.Lint_rules.rule = "retry-no-backoff")
-           token)
-
-let contains = Analysis.Summary.contains_sub
+           (fun f -> contains f.Analysis.msg "extract_helping")
+           sr)
 
 let test_mutant_unstamped_publish_flagged () =
   match scan_mutant () with
@@ -737,11 +722,11 @@ let test_mutant_published_record_flagged () =
   match scan_mutant () with
   | None -> ()
   | Some fs ->
-      let bump = line_of mutant_src "s.used <- s.used + 1" in
-      check_count "the in-place bump is a post-publish mutation" 1
+      let decl = line_of mutant_src "type slab = { mutable used" in
+      check_count "the mutable field behind the atomic is flagged" 1
         (List.filter
-           (fun f -> f.Analysis.line = bump)
-           (with_rule "post-publish-mutation" fs))
+           (fun f -> f.Analysis.line = decl)
+           (with_rule "mutable-atomic" fs))
 
 let test_mutant_unpadded_top_row_flagged () =
   match scan_mutant () with
@@ -782,44 +767,44 @@ let test_waivers_cover_new_rules () =
     (with_rule "waiver" (scan "lib/core/x.ml" stale))
 
 (* The same hygiene over a publication finding: a reasoned waiver
-   silences post-publish-mutation and is live, not stale; the identical
-   waiver over code with no finding is stale; a reasonless one is
-   flagged; and prose that merely mentions the marker waives nothing. *)
+   silences stale-publish and is live, not stale; the identical waiver
+   over code with no finding is stale; a reasonless one is flagged; and
+   prose that merely mentions the marker waives nothing. *)
 let test_waivers_cover_publication () =
-  let bump =
-    "let bump q =\n\
+  let mark =
+    "let mark q =\n\
     \  let n = M.get q in\n\
-    \  n.count <- n.count + 1\n"
+    \  ignore (M.cas q n n)\n"
   in
   let waived =
-    "let bump q =\n\
+    "let mark q =\n\
     \  let n = M.get q in\n\
     \  (* lint: allow — fixture: the record is never shared *)\n\
-    \  n.count <- n.count + 1\n"
+    \  ignore (M.cas q n n)\n"
   in
   let fs = scan "lib/core/x.ml" waived in
-  check_count "post-publish-mutation silenced by the reasoned waiver" 0
-    (with_rule "post-publish-mutation" fs);
+  check_count "stale-publish silenced by the reasoned waiver" 0
+    (with_rule "stale-publish" fs);
   check_count "the waiver covers a live finding: not stale" 0
     (with_rule "waiver" fs);
   let stale =
-    "let bump q =\n\
+    "let mark q =\n\
     \  (* lint: allow — fixture: the record is never shared *)\n\
     \  ignore (R.Atomic.fetch_and_add q 1)\n"
   in
   check_count "same waiver without a finding is stale" 1
     (with_rule "waiver" (scan "lib/core/x.ml" stale));
   let reasonless =
-    "let bump q =\n\
+    "let mark q =\n\
     \  let n = M.get q in\n\
     \  (* lint: allow *)\n\
-    \  n.count <- n.count + 1\n"
+    \  ignore (M.cas q n n)\n"
   in
   check_count "reasonless waiver flagged" 1
     (with_rule "waiver" (scan "lib/core/x.ml" reasonless));
-  let prose = "(* discussed in the lint: allow audit *)\n" ^ bump in
+  let prose = "(* discussed in the lint: allow audit *)\n" ^ mark in
   check_count "prose mention waives nothing" 1
-    (with_rule "post-publish-mutation" (scan "lib/core/x.ml" prose))
+    (with_rule "stale-publish" (scan "lib/core/x.ml" prose))
 
 (* ---- dynamic cross-checks on the same mutant code ---------------------- *)
 
@@ -915,18 +900,19 @@ let test_shipped_tree_clean () =
 let () =
   Alcotest.run "analysis"
     [
-      ( "lock-order",
+      ( "locking",
         [
-          Alcotest.test_case "acquisition order" `Quick test_lock_order;
+          Alcotest.test_case "acquisition pairs balanced" `Quick
+            test_lock_pairs_balanced;
           Alcotest.test_case "release on every path" `Quick test_lock_leak;
         ] );
       ( "publication",
         [
           Alcotest.test_case "stale publish" `Quick test_stale_publish;
-          Alcotest.test_case "post-publish mutation" `Quick
-            test_post_publish_mutation;
+          Alcotest.test_case "republish then mutate" `Quick
+            test_republish_then_mutate;
           Alcotest.test_case "boxed record bumped in place" `Quick
-            test_post_publish_boxed_record;
+            test_boxed_mutable_record;
         ] );
       ( "clean-twins",
         [
@@ -945,7 +931,8 @@ let () =
       ( "helping-v2",
         [
           Alcotest.test_case "static-retry" `Quick test_static_retry;
-          Alcotest.test_case "static-deadline" `Quick test_static_deadline;
+          Alcotest.test_case "static-retry on waiting loops" `Quick
+            test_static_retry_waiting;
         ] );
       ( "dataflow",
         [
@@ -973,9 +960,9 @@ let () =
         ] );
       ( "mutants",
         [
-          Alcotest.test_case "lock inversion flagged" `Quick
-            test_mutant_lock_inverted_flagged;
-          Alcotest.test_case "post-publish mutation flagged" `Quick
+          Alcotest.test_case "lock inversion balanced" `Quick
+            test_mutant_lock_inverted_balanced;
+          Alcotest.test_case "republish-then-mutate flagged" `Quick
             test_mutant_post_publish_flagged;
           Alcotest.test_case "dropped aliased helper flagged" `Quick
             test_mutant_aliased_helper_flagged;

@@ -141,74 +141,75 @@ let malformed_rejected () =
   check "missing trials rejected" true
     (Result.is_error (Harness.Bench_json.validate starved))
 
-(* Fresh medians vs. the committed pre-optimization baseline. Half the
-   baseline is a deliberate underbid: an actual hot-path regression
-   (e.g. reintroducing per-retry allocation) costs well over 2x on these
-   panels, while CI noise on a shared single core stays well under it. *)
+(* Fresh medians vs. a committed baseline,
+   bench/baseline/BENCH_<label>.json. Half the baseline is a deliberate
+   underbid: an actual hot-path regression (e.g. reintroducing
+   per-retry allocation) costs well over 2x on these panels, while CI
+   noise on a shared single core stays well under it. [measure ()] runs
+   a fresh document over [structures]. *)
+let not_regressed ~label ~structures measure =
+  (* cwd is _build/default/test under `dune runtest` but the project
+     root under `dune exec test/test_bench.exe` *)
+  let path =
+    let rel = Printf.sprintf "bench/baseline/BENCH_%s.json" label in
+    if Sys.file_exists (Filename.concat ".." rel) then Filename.concat ".." rel
+    else rel
+  in
+  let baseline = Harness.Bench_json.load path in
+  (match Harness.Bench_json.validate baseline with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "%s: baseline invalid: %s" path e);
+  (* keyed to matching thread counts only: the baseline may carry a
+     wider sweep (4/8-thread panels from a wide machine) than this run
+     measures, and vice versa — compare exactly the counts present in
+     both documents *)
+  let medians () =
+    let doc = measure () in
+    List.concat_map
+      (fun m ->
+        let name = (m.Harness.Pq.make ~capacity:16).name in
+        let common =
+          Harness.Bench_json.thread_counts_of doc ~structure:name
+          |> List.filter (fun t ->
+                 List.mem t
+                   (Harness.Bench_json.thread_counts_of baseline
+                      ~structure:name))
+        in
+        if common = [] then
+          Alcotest.failf "%s/%s: no matching thread counts" label name;
+        List.map
+          (fun t ->
+            let fresh =
+              Harness.Bench_json.median_of doc ~structure:name ~threads:t
+            and base =
+              Harness.Bench_json.median_of baseline ~structure:name ~threads:t
+            in
+            match (fresh, base) with
+            | Some f, Some b -> (Printf.sprintf "%s@%dt" name t, f, b)
+            | _ -> Alcotest.failf "%s/%s@%dt: missing median" label name t)
+          common)
+      structures
+  in
+  let below (_, f, b) = f < 0.5 *. b in
+  let first = medians () in
+  if List.exists below first then begin
+    (* one re-measure before declaring a regression: a single
+       descheduling blip on a shared core can sink a whole run *)
+    let retry = medians () in
+    List.iter2
+      (fun ((name, f1, b) as m1) ((_, f2, _) as m2) ->
+        if below m1 && below m2 then
+          Alcotest.failf
+            "%s/%s: medians %.0f and %.0f ops/s below half of baseline %.0f"
+            label name f1 f2 b)
+      first retry
+  end
+
 let baseline_not_regressed () =
   List.iter
     (fun panel ->
-      (* cwd is _build/default/test under `dune runtest` but the project
-         root under `dune exec test/test_bench.exe` *)
-      let path =
-        let rel = Printf.sprintf "bench/baseline/BENCH_%s.json" (tag panel) in
-        if Sys.file_exists (Filename.concat ".." rel) then
-          Filename.concat ".." rel
-        else rel
-      in
-      let baseline = Harness.Bench_json.load path in
-      (match Harness.Bench_json.validate baseline with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "%s: baseline invalid: %s" path e);
-      (* keyed to matching thread counts only: the baseline may carry a
-         wider sweep (4/8-thread panels from a wide machine) than this
-         run measures, and vice versa — compare exactly the counts
-         present in both documents *)
-      let medians () =
-        let doc = bench_doc ~warmup:cmp_warmup ~trials:cmp_trials panel in
-        List.concat_map
-          (fun m ->
-            let name = (m.Harness.Pq.make ~capacity:16).name in
-            let common =
-              Harness.Bench_json.thread_counts_of doc ~structure:name
-              |> List.filter (fun t ->
-                     List.mem t
-                       (Harness.Bench_json.thread_counts_of baseline
-                          ~structure:name))
-            in
-            if common = [] then
-              Alcotest.failf "%s/%s: no matching thread counts" (tag panel)
-                name;
-            List.map
-              (fun t ->
-                let fresh =
-                  Harness.Bench_json.median_of doc ~structure:name ~threads:t
-                and base =
-                  Harness.Bench_json.median_of baseline ~structure:name
-                    ~threads:t
-                in
-                match (fresh, base) with
-                | Some f, Some b -> (Printf.sprintf "%s@%dt" name t, f, b)
-                | _ ->
-                    Alcotest.failf "%s/%s@%dt: missing median" (tag panel)
-                      name t)
-              common)
-          structures
-      in
-      let below (_, f, b) = f < 0.5 *. b in
-      let first = medians () in
-      if List.exists below first then begin
-        (* one re-measure before declaring a regression: a single
-           descheduling blip on a shared core can sink a whole run *)
-        let retry = medians () in
-        List.iter2
-          (fun ((name, f1, b) as m1) ((_, f2, _) as m2) ->
-            if below m1 && below m2 then
-              Alcotest.failf
-                "%s/%s: medians %.0f and %.0f ops/s below half of baseline %.0f"
-                (tag panel) name f1 f2 b)
-          first retry
-      end)
+      not_regressed ~label:(tag panel) ~structures (fun () ->
+          bench_doc ~warmup:cmp_warmup ~trials:cmp_trials panel))
     panels
 
 (* The same 0.5x guard over the overload panels: throughput under
@@ -243,61 +244,10 @@ let overload_doc ~warmup ~trials scenario =
 let overload_not_regressed () =
   List.iter
     (fun scenario ->
-      let stag = Harness.Real_exp.scenario_name scenario in
-      let path =
-        let rel = Printf.sprintf "bench/baseline/BENCH_overload_%s.json" stag in
-        if Sys.file_exists (Filename.concat ".." rel) then
-          Filename.concat ".." rel
-        else rel
-      in
-      let baseline = Harness.Bench_json.load path in
-      (match Harness.Bench_json.validate baseline with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "%s: baseline invalid: %s" path e);
-      let medians () =
-        let doc = overload_doc ~warmup:cmp_warmup ~trials:cmp_trials scenario in
-        List.concat_map
-          (fun m ->
-            let name = (m.Harness.Pq.make ~capacity:16).name in
-            let common =
-              Harness.Bench_json.thread_counts_of doc ~structure:name
-              |> List.filter (fun t ->
-                     List.mem t
-                       (Harness.Bench_json.thread_counts_of baseline
-                          ~structure:name))
-            in
-            if common = [] then
-              Alcotest.failf "overload_%s/%s: no matching thread counts" stag
-                name;
-            List.map
-              (fun t ->
-                let fresh =
-                  Harness.Bench_json.median_of doc ~structure:name ~threads:t
-                and base =
-                  Harness.Bench_json.median_of baseline ~structure:name
-                    ~threads:t
-                in
-                match (fresh, base) with
-                | Some f, Some b -> (Printf.sprintf "%s@%dt" name t, f, b)
-                | _ ->
-                    Alcotest.failf "overload_%s/%s@%dt: missing median" stag
-                      name t)
-              common)
-          overload_structures
-      in
-      let below (_, f, b) = f < 0.5 *. b in
-      let first = medians () in
-      if List.exists below first then begin
-        let retry = medians () in
-        List.iter2
-          (fun ((name, f1, b) as m1) ((_, f2, _) as m2) ->
-            if below m1 && below m2 then
-              Alcotest.failf
-                "overload_%s/%s: medians %.0f and %.0f ops/s below half of \
-                 baseline %.0f"
-                stag name f1 f2 b)
-          first retry
-      end)
+      not_regressed
+        ~label:("overload_" ^ Harness.Real_exp.scenario_name scenario)
+        ~structures:overload_structures
+        (fun () -> overload_doc ~warmup:cmp_warmup ~trials:cmp_trials scenario))
     overload_scenarios
 
 let () =

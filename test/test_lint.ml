@@ -15,6 +15,8 @@ let boundary fs =
 
 let check_count what n fs = Alcotest.(check int) what n (List.length fs)
 
+let retry fs = List.filter (fun f -> f.Lint_rules.rule = "static-retry") fs
+
 (* ---- boundary rule ----------------------------------------------------- *)
 
 let test_core_stdlib_atomic () =
@@ -130,179 +132,187 @@ let test_waiver_hygiene () =
   Alcotest.(check (list string)) "mid-comment marker inert" [ "boundary" ]
     (rules fs)
 
-(* ---- helping-discipline rules ------------------------------------------ *)
+(* ---- retry loops ------------------------------------------------------- *)
 
-let test_retry_no_backoff () =
-  (* bodies indented 4: chunks split at indentation <= 2, the margin of
-     a module body, exactly like the shipped sources *)
+(* The helping discipline is judged by one engine, the AST rule
+   [static-retry] over call-graph facts; these fixtures run the merged
+   scan, the way [@lint] does. *)
+let ascan path src = Analysis.scan ~path src
+
+(* A completing CAS ([dirty = false] fresh record, result discarded):
+   what [static-retry] recognizes as helping, whatever it is called. *)
+let finish =
+  "let finish q =\n\
+  \  let cur = M.get q in\n\
+  \  ignore (M.cas q cur { list = cur.list; dirty = false })\n\n"
+
+let test_bare_retry () =
   let bare =
     "let rec push q v =\n\
     \    let cur = R.Atomic.get q in\n\
     \    if not (M.cas q cur (v :: cur)) then push q v\n"
   in
-  Alcotest.(check (list string)) "bare retry flagged" [ "retry-no-backoff" ]
-    (rules (scan "lib/core/x.ml" bare));
+  check_count "bare retry flagged" 1 (retry (ascan "lib/core/x.ml" bare));
   let with_backoff =
-    "let rec push q b v =\n\
-    \    let cur = R.Atomic.get q in\n\
-    \    if not (M.cas q cur (v :: cur)) then begin\n\
-    \      B.exponential b;\n\
-    \      push q b v\n\
-    \    end\n"
-  in
-  (* backoff silences retry-no-backoff; what remains is the disjoint
-     complement — the loop waits, but nothing bounds the wait *)
-  Alcotest.(check (list string)) "backoff leaves only deadline-blind"
-    [ "deadline-blind" ]
-    (rules (scan "lib/core/x.ml" with_backoff));
-  let with_help =
     "let rec push q v =\n\
     \    let cur = R.Atomic.get q in\n\
     \    if not (M.cas q cur (v :: cur)) then begin\n\
-    \      help_complete q;\n\
+    \      R.cpu_relax ();\n\
     \      push q v\n\
     \    end\n"
   in
-  check_count "helping silences" 0 (scan "lib/core/x.ml" with_help);
-  (* non-recursive chunks are not retry loops *)
+  check_count "backoff loop not flagged" 0
+    (retry (ascan "lib/core/x.ml" with_backoff));
+  let with_help =
+    finish
+    ^ "let rec push q v =\n\
+      \    let cur = R.Atomic.get q in\n\
+      \    if not (M.cas q cur (v :: cur)) then begin\n\
+      \      finish q;\n\
+      \      push q v\n\
+      \    end\n"
+  in
+  check_count "helping silences" 0 (retry (ascan "lib/core/x.ml" with_help));
+  (* non-recursive functions are not retry loops *)
   check_count "straight-line cas fine" 0
-    (scan "lib/core/x.ml" "let push q v =\n  if M.cas q [] [ v ] then 1 else 0\n");
-  (* baselines reproduce published loops; helping rules do not apply *)
-  check_count "baselines exempt" 0 (scan "lib/baselines/x.ml" bare)
+    (ascan "lib/core/x.ml"
+       "let push q v =\n  if M.cas q [] [ v ] then 1 else 0\n");
+  (* baselines reproduce published loops; the discipline does not apply *)
+  check_count "baselines exempt" 0 (ascan "lib/baselines/x.ml" bare)
 
-let test_deadline_blind () =
-  (* waiting without a bound: backoff satisfies retry-no-backoff but
-     the loop can wait forever behind a dead peer *)
+(* A loop that backs off satisfies the helping discipline whether or not
+   it consults a deadline: bounding the wait is the overload tier's
+   claim, certified dynamically ([test_overload]), not a lint rule. *)
+let test_waiting_retry () =
   let waiting =
-    "let rec push q b v =\n\
+    "let rec push q v =\n\
     \    if M.cas q 0 v then ()\n\
     \    else begin\n\
-    \      B.exponential b;\n\
-    \      push q b v\n\
+    \      R.cpu_relax ();\n\
+    \      push q v\n\
     \    end\n"
   in
-  Alcotest.(check (list string)) "unbounded wait flagged"
-    [ "deadline-blind" ]
-    (rules (scan "lib/core/x.ml" waiting));
-  (* consulting a deadline bounds the wait *)
+  check_count "unbounded wait not flagged" 0
+    (retry (ascan "lib/core/x.ml" waiting));
   let bounded =
-    "let rec push q b v deadline =\n\
+    "let rec push q v deadline =\n\
     \    if expired ~deadline then Timeout\n\
     \    else if M.cas q 0 v then Ok ()\n\
     \    else begin\n\
-    \      B.exponential b;\n\
-    \      push q b v deadline\n\
+    \      R.cpu_relax ();\n\
+    \      push q v deadline\n\
     \    end\n"
   in
-  check_count "deadline silences" 0 (scan "lib/core/x.ml" bounded);
-  (* the _until operation family is the same vocabulary *)
+  check_count "bounded wait not flagged" 0
+    (retry (ascan "lib/core/x.ml" bounded));
   let until =
-    "let rec push q b v d =\n\
-    \    if M.cas q 0 v then Ok () else (B.exponential b; push_until q b v d)\n"
+    "let rec push q v d =\n\
+    \    if M.cas q 0 v then Ok () else (R.cpu_relax (); push_until q v d)\n"
   in
-  check_count "_until call silences" 0 (scan "lib/core/x.ml" until);
-  (* disjoint from retry-no-backoff: a bare loop gets exactly one
-     finding, the one whose remedy (back off first) comes first *)
+  check_count "_until call not flagged" 0
+    (retry (ascan "lib/core/x.ml" until));
+  (* the same loop without its wait is the bare retry *)
   let bare =
     "let rec push q v =\n\
     \    if M.cas q 0 v then () else push q v\n"
   in
-  Alcotest.(check (list string)) "bare loop is retry-no-backoff only"
-    [ "retry-no-backoff" ]
-    (rules (scan "lib/core/x.ml" bare));
-  (* helping loops are bounded by global progress: exempt *)
+  check_count "bare loop flagged" 1 (retry (ascan "lib/core/x.ml" bare));
   let helping =
-    "let rec pull q =\n\
-    \    if M.cas q 0 1 then () else (help_complete q; cpu_relax (); pull q)\n"
+    finish
+    ^ "let rec pull q =\n\
+      \    if M.cas q 0 1 then () else (finish q; R.cpu_relax (); pull q)\n"
   in
-  check_count "helping exempt" 0 (scan "lib/core/x.ml" helping);
-  (* baselines keep their published shapes *)
-  check_count "baselines exempt" 0 (scan "lib/baselines/x.ml" waiting);
-  (* a reasoned waiver covers it like any other finding *)
+  check_count "helping loop not flagged" 0
+    (retry (ascan "lib/core/x.ml" helping));
+  check_count "baselines exempt" 0 (retry (ascan "lib/baselines/x.ml" bare));
+  (* a reasoned waiver covers the bare loop like any other finding *)
   check_count "reasoned waiver silences" 0
-    (scan "lib/core/x.ml"
-       ("(* lint: allow — fixture: wait bounded by the test harness *)\n"
-      ^ waiting))
+    (ascan "lib/core/x.ml"
+       ("(* lint: allow — fixture: contention impossible here *)\n" ^ bare))
 
-let test_dirty_spin () =
+(* Spinning on a dirty bit is a retry loop like any other: it must help
+   (restore the node) or back off. *)
+let test_dirty_retry () =
   let spin =
     "let rec pull q =\n\
     \    let n = M.get q in\n\
     \    if n.dirty then pull q\n\
-    \    else (n, B.exponential ())\n"
+    \    else if M.cas q n { list = n.list; dirty = true } then n\n\
+    \    else pull q\n"
   in
-  Alcotest.(check (list string)) "dirty re-test flagged" [ "dirty-spin" ]
-    (rules (scan "lib/core/x.ml" spin));
+  check_count "dirty re-test flagged" 1 (retry (ascan "lib/core/x.ml" spin));
   let helps =
-    "let rec pull q =\n\
-    \    let n = M.get q in\n\
-    \    if n.dirty then (moundify q 1; pull q)\n\
-    \    else n\n"
+    finish
+    ^ "let rec pull q =\n\
+      \    let n = M.get q in\n\
+      \    if n.dirty then (finish q; pull q)\n\
+      \    else if M.cas q n { list = n.list; dirty = true } then n\n\
+      \    else pull q\n"
   in
-  check_count "helping silences" 0 (scan "lib/core/x.ml" helps);
-  (* [dirty = cur.dirty] in a record copy is not a test *)
+  check_count "helping silences" 0 (retry (ascan "lib/core/x.ml" helps));
+  (* copying the dirty bit forward is not a completion: only a literal
+     [dirty = false] fresh record helps *)
   let copy =
     "let rec pull q =\n\
     \    let cur = M.get q in\n\
-    \    ignore { list = cur.list; dirty = cur.dirty };\n\
-    \    pull q\n"
+    \    if M.cas q cur { list = cur.list; dirty = cur.dirty } then ()\n\
+    \    else pull q\n"
   in
-  Alcotest.(check bool) "record copy not a dirty test" false
-    (List.mem "dirty-spin" (rules (scan "lib/core/x.ml" copy)))
+  check_count "record copy is no help" 1 (retry (ascan "lib/core/x.ml" copy))
 
-let test_cas_discard () =
-  Alcotest.(check (list string)) "ignore'd cas" [ "cas-discard" ]
-    (rules (scan "lib/core/x.ml" "let reset q =\n  ignore (M.cas q 0 1)\n"));
-  Alcotest.(check (list string)) "statement-position cas" [ "cas-discard" ]
-    (rules
-       (scan "lib/core/x.ml" "let f q r =\n  r := 1;\n  M.cas q 0 1\n"));
-  check_count "branched-on cas fine" 0
-    (scan "lib/core/x.ml" "let f q = if M.cas q 0 1 then 1 else 0\n");
-  (* a CAS ending a sequence whose value is let-bound (or otherwise
-     consumed) on a following line is not discarded: only the [;] on
-     the preceding line is in sight when walking backwards, so the
-     verdict must come from scanning forward to the binder *)
-  check_count "let-bound sequence tail fine" 0
-    (scan "lib/core/x.ml"
-       "let f q r =\n\
-       \  let ok =\n\
-       \    r := 1;\n\
-       \    M.cas q 0 1\n\
-       \  in\n\
-       \  ok\n");
-  check_count "parenthesized condition tail fine" 0
-    (scan "lib/core/x.ml"
-       "let f q r =\n\
-       \  if (r := 1;\n\
-       \      M.cas q 0 1) then 1 else 0\n");
-  (* but a mid-sequence CAS is still discarded even when a binder
-     follows later *)
-  Alcotest.(check (list string)) "mid-sequence cas still flagged"
-    [ "cas-discard" ]
-    (rules
-       (scan "lib/core/x.ml"
-          "let f q r =\n\
+(* A CAS whose result is discarded is a one-shot completion (any thread
+   may fire it, nobody retries on its account): a loop calling one
+   helps. A CAS whose value is bound or tested is an attempt, not a
+   completion. *)
+let test_cas_result_use () =
+  let loop_calling helper =
+    helper
+    ^ "let rec pull q =\n\
+      \    if M.cas q 0 1 then () else (reset q; pull q)\n"
+  in
+  check_count "ignore'd cas completes" 0
+    (retry
+       (ascan "lib/core/x.ml"
+          (loop_calling "let reset q =\n  ignore (M.cas q 1 0)\n\n")));
+  check_count "statement-position cas completes" 0
+    (retry
+       (ascan "lib/core/x.ml"
+          (loop_calling "let reset q =\n  M.cas q 1 0;\n  ()\n\n")));
+  check_count "let-bound cas is an attempt" 1
+    (retry
+       (ascan "lib/core/x.ml"
+          "let rec f q r =\n\
           \  let ok =\n\
           \    r := 1;\n\
-          \    M.cas q 0 1;\n\
-          \    r := 2\n\
-          \  in\n\
-          \  ok\n"));
-  Alcotest.(check (list string)) "while-body tail still flagged"
-    [ "cas-discard" ]
-    (rules
-       (scan "lib/core/x.ml"
-          "let f q r =\n\
-          \  while !r do\n\
-          \    r := false;\n\
           \    M.cas q 0 1\n\
-          \  done\n"));
-  (* record labels and counter fields named [cas] are not calls *)
-  check_count "field assignment fine" 0
-    (scan "lib/core/x.ml" "let reset c =\n  c.cas <- 0\n");
-  check_count "record label fine" 0
-    (scan "lib/core/x.ml" "let snap c = { gets = c.gets; cas = c.cas }\n");
-  check_count "type field fine" 0
+          \  in\n\
+          \  if ok then () else f q r\n"));
+  check_count "tested cas is an attempt" 1
+    (retry
+       (ascan "lib/core/x.ml"
+          "let rec f q r =\n\
+          \  if (r := 1;\n\
+          \      M.cas q 0 1) then () else f q r\n"));
+  (* the token engine's CAS recognition (what [alloc-in-retry] keys on):
+     record labels and counter fields named [cas] are not calls, so a
+     recursive allocator without a real CAS is no retry loop *)
+  let alloc fs =
+    List.filter (fun f -> f.Lint_rules.rule = "alloc-in-retry") fs
+  in
+  check_count "field assignment is no cas" 0
+    (alloc
+       (scan "lib/core/x.ml"
+          "let rec reset c =\n\
+          \  let a = Array.make 2 0 in\n\
+          \  c.cas <- 0;\n\
+          \  reset a\n"));
+  check_count "record label is no cas" 0
+    (alloc
+       (scan "lib/core/x.ml"
+          "let rec snap c =\n\
+          \  let a = Array.make 2 0 in\n\
+          \  snap { gets = c.gets; cas = 0; a }\n"));
+  check_count "type field is no cas" 0
     (scan "lib/core/x.ml" "type t = { gets : int; cas : int }\n")
 
 let test_alloc_in_retry () =
@@ -358,7 +368,7 @@ let test_alloc_in_retry () =
     \    if M.cas q [] fresh then () else push q v\n"
   in
   check_count "waiver silences" 0 (alloc (scan "lib/core/x.ml" waived));
-  (* baselines are exempt, as for the other helping-discipline rules *)
+  (* baselines are exempt, as from static-retry *)
   check_count "baselines exempt" 0 (alloc (scan "lib/baselines/x.ml" hot))
 
 let test_functor_constraint_idiom () =
@@ -405,32 +415,24 @@ let test_format () =
     (List.map (fun f -> f.Lint_rules.line) fs);
   check_count "clean file" 0 (scan "lib/core/x.ml" "let x = 1\n")
 
-(* ---- engine dedupe ------------------------------------------------------ *)
+(* ---- one engine per defect --------------------------------------------- *)
 
-(* One defect, one finding: when the token engine and the AST engine
-   flag the same file:line for sibling rules (cas-discard vs the
-   protocol analyses), the merged scan keeps the AST finding — it names
-   the protocol — and drops the token one. Unrelated co-located
-   findings still both surface. *)
-let test_sibling_dedupe () =
+(* Each defect has one rule in one engine, so the merged scan reports
+   it once with no merging step: a republished shared read is the AST
+   rule's alone, and the token engine says nothing about it. Unrelated
+   co-located findings still both surface. *)
+let test_one_finding_per_defect () =
   let src =
     "let mark q =\n\
     \  let root = M.get q in\n\
     \  ignore (M.cas q root root)\n"
   in
-  (* the token engine alone does flag the discarded CAS... *)
-  check_count "token cas-discard fires alone" 1
-    (List.filter
-       (fun f -> f.Lint_rules.rule = "cas-discard")
-       (scan "lib/core/x.ml" src));
-  (* ...but the merged scan reports the one defect once, as the AST
-     sibling *)
+  check_count "token engine silent" 0 (scan "lib/core/x.ml" src);
   let merged = Analysis.scan ~path:"lib/core/x.ml" src in
   check_count "one finding for the one defect" 1 merged;
-  Alcotest.(check string) "the AST sibling wins" "stale-publish"
+  Alcotest.(check string) "the AST rule reports it" "stale-publish"
     (List.hd merged).Lint_rules.rule;
-  (* unrelated rules co-located on one line are not siblings: a
-     boundary breach and a lost update are two defects, two findings *)
+  (* a boundary breach and a lost update are two defects, two findings *)
   let two_defects =
     "let bump q =\n\
     \  let n = Atomic.get q in\n\
@@ -442,9 +444,9 @@ let test_sibling_dedupe () =
   check_count "atomicity kept" 1
     (List.filter (fun f -> f.Lint_rules.rule = "atomicity") merged)
 
-(* [mutable-atomic] has no AST sibling: the mutable field behind an
-   Atomic.t is reported once, by the token rule, at its declaration
-   line — the merged scan neither drops nor duplicates it. *)
+(* [mutable-atomic] is a token rule with no AST counterpart: the mutable
+   field behind an Atomic.t is reported once, at its declaration line —
+   the merged scan neither drops nor duplicates it. *)
 let test_mutable_atomic_unpaired () =
   let src =
     "type slab = { mutable used : int; cap : int }\n\
@@ -460,48 +462,39 @@ let test_mutable_atomic_unpaired () =
          else None)
        merged)
 
-(* Every sibling pairing must reference registered rules of the right
-   engine, and the registry itself must be duplicate-free — the table
-   is what [--list-rules], the README and CI all derive from. *)
+(* The registry must be duplicate-free — the table is what
+   [--list-rules] and the README derive from. *)
 let test_rule_registry_consistent () =
-  List.iter
-    (fun (tok, asts) ->
-      Alcotest.(check bool)
-        (tok ^ " is a registered token rule")
-        true
-        (List.mem tok Analysis.token_rules);
-      List.iter
-        (fun a ->
-          Alcotest.(check bool)
-            (a ^ " is a registered AST rule")
-            true
-            (List.mem a Analysis.static_rules))
-        asts)
-    Analysis.sibling_rules;
   let names = List.map (fun (n, _, _) -> n) Analysis.rule_table in
   Alcotest.(check int) "registry names are unique" (List.length names)
     (List.length (List.sort_uniq compare names))
+
+let readme () = List.find_opt Sys.file_exists [ "README.md"; "../README.md" ]
+
+(* The lines of a README block between [<!-- tag:begin -->] and
+   [<!-- tag:end -->]. *)
+let readme_block path tag =
+  let lines = String.split_on_char '\n' (Analysis.read_file path) in
+  let rec block inside acc = function
+    | [] -> List.rev acc
+    | l :: rest ->
+        if l = "<!-- " ^ tag ^ ":begin -->" then block true acc rest
+        else if l = "<!-- " ^ tag ^ ":end -->" then List.rev acc
+        else block inside (if inside then l :: acc else acc) rest
+  in
+  block false [] lines
+
+(* Table rows of a block: the lines opening with a backquoted name. *)
+let table_rows lines =
+  List.filter (fun l -> String.length l > 2 && String.sub l 0 3 = "| `") lines
 
 (* The README rules block is derived from the registry: one row per
    rule, in registry order, with the same engine and description. A
    rule added, removed or reworded without its row fails here. *)
 let test_readme_rules_table () =
-  let readme =
-    List.find_opt Sys.file_exists [ "README.md"; "../README.md" ]
-  in
-  match readme with
+  match readme () with
   | None -> () (* sandbox without the docs; the test stanza depends on it *)
   | Some path ->
-      let lines = String.split_on_char '\n' (Analysis.read_file path) in
-      let rec block inside acc = function
-        | [] -> List.rev acc
-        | l :: rest ->
-            if l = "<!-- rules:begin -->" then block true acc rest
-            else if l = "<!-- rules:end -->" then List.rev acc
-            else if inside && String.length l > 2 && String.sub l 0 3 = "| `"
-            then block inside (l :: acc) rest
-            else block inside acc rest
-      in
       let expected =
         List.map
           (fun (n, e, d) ->
@@ -511,7 +504,55 @@ let test_readme_rules_table () =
           Analysis.rule_table
       in
       Alcotest.(check (list string))
-        "README rows match the registry" expected (block false [] lines)
+        "README rows match the registry" expected
+        (table_rows (readme_block path "rules"))
+
+(* The README operators block lists the mutation catalog ([repro mutate
+   --list-ops]) by name, row for row in catalog order. *)
+let test_readme_operators_table () =
+  match readme () with
+  | None -> ()
+  | Some path ->
+      let name_of row =
+        match String.split_on_char '`' row with
+        | _ :: name :: _ -> name
+        | _ -> row
+      in
+      Alcotest.(check (list string))
+        "README operator rows match the catalog" Analysis.Mutate.op_names
+        (List.map name_of (table_rows (readme_block path "operators")))
+
+(* Whole-file waivers are reserved for the modules the README's
+   allow-file block names: the set of [lint: allow-file] files under
+   [lib/] must equal it, so it cannot grow silently. *)
+let test_readme_allow_file_set () =
+  let lib = List.find_opt Sys.file_exists [ "lib"; "../lib" ] in
+  match (readme (), lib) with
+  | None, _ | _, None -> ()
+  | Some path, Some lib ->
+      let strip_root p =
+        (* report paths as [lib/...], wherever the tree was found *)
+        let n = String.length lib in
+        "lib" ^ String.sub p n (String.length p - n)
+      in
+      let actual =
+        Lint_rules.files_under lib
+        |> List.filter (fun p ->
+               Filename.check_suffix p ".ml"
+               && (Lint_rules.strip (Analysis.read_file p))
+                    .Lint_rules.file_waived)
+        |> List.map strip_root |> List.sort compare
+      in
+      let documented =
+        readme_block path "allow-file"
+        |> List.filter_map (fun l ->
+               match String.split_on_char '`' l with
+               | _ :: p :: _ when String.starts_with ~prefix:"lib/" p -> Some p
+               | _ -> None)
+        |> List.sort compare
+      in
+      Alcotest.(check (list string))
+        "allow-file modules match the README list" documented actual
 
 (* ---- mound-lint/1 JSON -------------------------------------------------- *)
 
@@ -570,7 +611,7 @@ let test_shipped_tree_clean () =
      this, but running from the test binary keeps the guarantee even if
      the alias wiring regresses. Both engines, like [bin/lint.exe]: a
      token-only scan would misjudge as stale any waiver that covers an
-     AST-level finding (stm's static-deadline waiver). Source may live
+     AST-level finding (lf_mound's static-retry waivers). Source may live
      elsewhere when built in a sandbox; skip silently if lib/ is not
      present. *)
   if Sys.file_exists "lib" && Sys.is_directory "lib" then begin
@@ -597,27 +638,31 @@ let () =
           Alcotest.test_case "functor constraint idiom" `Quick
             test_functor_constraint_idiom;
         ] );
-      ( "helping",
+      ( "retry-loops",
         [
-          Alcotest.test_case "retry-no-backoff" `Quick test_retry_no_backoff;
-          Alcotest.test_case "deadline-blind" `Quick test_deadline_blind;
-          Alcotest.test_case "dirty-spin" `Quick test_dirty_spin;
-          Alcotest.test_case "cas-discard" `Quick test_cas_discard;
+          Alcotest.test_case "bare retry" `Quick test_bare_retry;
+          Alcotest.test_case "waiting retry" `Quick test_waiting_retry;
+          Alcotest.test_case "dirty-bit retry" `Quick test_dirty_retry;
+          Alcotest.test_case "cas result use" `Quick test_cas_result_use;
           Alcotest.test_case "alloc-in-retry" `Quick test_alloc_in_retry;
         ] );
       ( "mutable-atomic",
         [ Alcotest.test_case "heuristic" `Quick test_mutable_atomic ] );
       ("format", [ Alcotest.test_case "rules" `Quick test_format ]);
-      ( "dedupe",
+      ( "engines",
         [
-          Alcotest.test_case "token/AST siblings deduped" `Quick
-            test_sibling_dedupe;
+          Alcotest.test_case "one finding per defect" `Quick
+            test_one_finding_per_defect;
           Alcotest.test_case "mutable-atomic unpaired" `Quick
             test_mutable_atomic_unpaired;
           Alcotest.test_case "rule registry consistent" `Quick
             test_rule_registry_consistent;
           Alcotest.test_case "README rules table matches registry" `Quick
             test_readme_rules_table;
+          Alcotest.test_case "README operators table matches catalog" `Quick
+            test_readme_operators_table;
+          Alcotest.test_case "README allow-file set matches tree" `Quick
+            test_readme_allow_file_set;
         ] );
       ( "json",
         [

@@ -172,17 +172,19 @@ let test_tamper () =
 (* Each hand-seeded defect class in mutant_static.ml, as the (operator,
    killing rule) pair that re-derives it mechanically. The baseline must
    contain at least one killed mutant per pair — the seeded fixtures and
-   the generated mutants certify the same rule from two directions. *)
+   the generated mutants certify the same rule from two directions.
+   [Lock_inverted_static] has no static class: no rule judges lock
+   order, and its swap-lock-order mutants escalate to the
+   lock-inversion-deadlock twin instead. *)
 let seeded_classes =
   [
-    ("Lock_inverted_static", "swap-lock-order", "lock-order");
-    ("Post_publish_mutation", "inplace-publish", "post-publish-mutation");
+    ("Post_publish_mutation", "inplace-publish", "stale-publish");
     ("Aliased_helper_dropped", "drop-help", "static-retry");
     ("Unstamped_publish", "drop-stamp", "aba-risk");
     ("Lost_update", "demote-rmw", "atomicity");
     ("Counter_drift", "demote-rmw", "atomicity");
     ("Unpadded_top_row", "drop-pad", "layout");
-    ("Published_record_write", "inplace-publish", "post-publish-mutation");
+    ("Published_record_write", "mutabilize", "mutable-atomic");
   ]
 
 let load_baseline () =
@@ -237,6 +239,30 @@ let test_catalog_rules_registered () =
       Alcotest.(check bool) (rule ^ " is a registered rule") true
         (List.mem rule registered))
     Analysis.Mutate.target_rules
+
+(* Every defect rule earns its place: it is a target of some operator,
+   and the committed baseline credits it with a kill on a planted defect
+   — a kill on a [drop-waiver] mutant only shows the rule fires where it
+   was waived, not that it detects anything a mutation introduced. *)
+let test_every_rule_earns_its_place () =
+  let rows = Harness.Mutation_json.rows_of (load_baseline ()) in
+  List.iter
+    (fun (rule, _, _) ->
+      if not (List.mem rule Analysis.Killmatrix.hygiene_rules) then begin
+        if not (List.mem rule Analysis.Mutate.target_rules) then
+          Alcotest.failf "rule %s is no operator's target" rule;
+        if
+          not
+            (List.exists
+               (fun r ->
+                 r.Harness.Mutation_json.mr_op <> "drop-waiver"
+                 && List.mem rule r.mr_killed_by)
+               rows)
+        then
+          Alcotest.failf
+            "rule %s has no baseline kill outside drop-waiver mutants" rule
+      end)
+    Analysis.rule_table
 
 (* ---- the live regression guard ----------------------------------------- *)
 
@@ -323,7 +349,7 @@ let test_escalation_full () =
         in
         if swaps <> [] then
           Alcotest.(check bool)
-            "some lock-order swap escalates to a confirmed deadlock" true
+            "some swapped lock pair escalates to a confirmed deadlock" true
             (List.exists
                (fun (e : Harness.Mutation_exp.escalation) ->
                  e.e_status = "escalated")
@@ -346,6 +372,8 @@ let () =
             test_baseline_rederives_seeded;
           Alcotest.test_case "operator target rules registered" `Quick
             test_catalog_rules_registered;
+          Alcotest.test_case "every rule earns its place" `Quick
+            test_every_rule_earns_its_place;
         ] );
       ( "guard",
         [

@@ -102,12 +102,19 @@ let test_lint_flags_no_help_mutant () =
      a future build layout stops copying it into the sandbox. *)
   let src = "mutant_live.ml" in
   if Sys.file_exists src then begin
-    let fs = Lint_rules.scan_file src in
-    let rules = List.map (fun f -> f.Lint_rules.rule) fs in
-    Alcotest.(check bool) "dirty-spin flagged" true
-      (List.mem "dirty-spin" rules);
-    Alcotest.(check bool) "retry-no-backoff flagged" true
-      (List.mem "retry-no-backoff" rules)
+    let loops =
+      Analysis.scan_file src
+      |> List.filter_map (fun f ->
+             if f.Analysis.rule = "static-retry" then Some f.Analysis.msg
+             else None)
+    in
+    let flagged fn =
+      List.exists (fun msg -> Analysis.Summary.contains_sub msg fn) loops
+    in
+    Alcotest.(check bool) "spinning extract flagged" true
+      (flagged "No_help.extract_min");
+    Alcotest.(check bool) "backoff-less insert flagged" true
+      (flagged "No_backoff.insert")
   end
 
 let () =

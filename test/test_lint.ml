@@ -15,8 +15,6 @@ let boundary fs =
 
 let check_count what n fs = Alcotest.(check int) what n (List.length fs)
 
-let retry fs = List.filter (fun f -> f.Lint_rules.rule = "static-retry") fs
-
 (* ---- boundary rule ----------------------------------------------------- *)
 
 let test_core_stdlib_atomic () =
@@ -134,168 +132,12 @@ let test_waiver_hygiene () =
 
 (* ---- retry loops ------------------------------------------------------- *)
 
-(* The helping discipline is judged by one engine, the AST rule
-   [static-retry] over call-graph facts; these fixtures run the merged
-   scan, the way [@lint] does. *)
-let ascan path src = Analysis.scan ~path src
-
-(* A completing CAS ([dirty = false] fresh record, result discarded):
-   what [static-retry] recognizes as helping, whatever it is called. *)
-let finish =
-  "let finish q =\n\
-  \  let cur = M.get q in\n\
-  \  ignore (M.cas q cur { list = cur.list; dirty = false })\n\n"
-
-let test_bare_retry () =
-  let bare =
-    "let rec push q v =\n\
-    \    let cur = R.Atomic.get q in\n\
-    \    if not (M.cas q cur (v :: cur)) then push q v\n"
-  in
-  check_count "bare retry flagged" 1 (retry (ascan "lib/core/x.ml" bare));
-  let with_backoff =
-    "let rec push q v =\n\
-    \    let cur = R.Atomic.get q in\n\
-    \    if not (M.cas q cur (v :: cur)) then begin\n\
-    \      R.cpu_relax ();\n\
-    \      push q v\n\
-    \    end\n"
-  in
-  check_count "backoff loop not flagged" 0
-    (retry (ascan "lib/core/x.ml" with_backoff));
-  let with_help =
-    finish
-    ^ "let rec push q v =\n\
-      \    let cur = R.Atomic.get q in\n\
-      \    if not (M.cas q cur (v :: cur)) then begin\n\
-      \      finish q;\n\
-      \      push q v\n\
-      \    end\n"
-  in
-  check_count "helping silences" 0 (retry (ascan "lib/core/x.ml" with_help));
-  (* non-recursive functions are not retry loops *)
-  check_count "straight-line cas fine" 0
-    (ascan "lib/core/x.ml"
-       "let push q v =\n  if M.cas q [] [ v ] then 1 else 0\n");
-  (* baselines reproduce published loops; the discipline does not apply *)
-  check_count "baselines exempt" 0 (ascan "lib/baselines/x.ml" bare)
-
-(* A loop that backs off satisfies the helping discipline whether or not
-   it consults a deadline: bounding the wait is the overload tier's
-   claim, certified dynamically ([test_overload]), not a lint rule. *)
-let test_waiting_retry () =
-  let waiting =
-    "let rec push q v =\n\
-    \    if M.cas q 0 v then ()\n\
-    \    else begin\n\
-    \      R.cpu_relax ();\n\
-    \      push q v\n\
-    \    end\n"
-  in
-  check_count "unbounded wait not flagged" 0
-    (retry (ascan "lib/core/x.ml" waiting));
-  let bounded =
-    "let rec push q v deadline =\n\
-    \    if expired ~deadline then Timeout\n\
-    \    else if M.cas q 0 v then Ok ()\n\
-    \    else begin\n\
-    \      R.cpu_relax ();\n\
-    \      push q v deadline\n\
-    \    end\n"
-  in
-  check_count "bounded wait not flagged" 0
-    (retry (ascan "lib/core/x.ml" bounded));
-  let until =
-    "let rec push q v d =\n\
-    \    if M.cas q 0 v then Ok () else (R.cpu_relax (); push_until q v d)\n"
-  in
-  check_count "_until call not flagged" 0
-    (retry (ascan "lib/core/x.ml" until));
-  (* the same loop without its wait is the bare retry *)
-  let bare =
-    "let rec push q v =\n\
-    \    if M.cas q 0 v then () else push q v\n"
-  in
-  check_count "bare loop flagged" 1 (retry (ascan "lib/core/x.ml" bare));
-  let helping =
-    finish
-    ^ "let rec pull q =\n\
-      \    if M.cas q 0 1 then () else (finish q; R.cpu_relax (); pull q)\n"
-  in
-  check_count "helping loop not flagged" 0
-    (retry (ascan "lib/core/x.ml" helping));
-  check_count "baselines exempt" 0 (retry (ascan "lib/baselines/x.ml" bare));
-  (* a reasoned waiver covers the bare loop like any other finding *)
-  check_count "reasoned waiver silences" 0
-    (ascan "lib/core/x.ml"
-       ("(* lint: allow — fixture: contention impossible here *)\n" ^ bare))
-
-(* Spinning on a dirty bit is a retry loop like any other: it must help
-   (restore the node) or back off. *)
-let test_dirty_retry () =
-  let spin =
-    "let rec pull q =\n\
-    \    let n = M.get q in\n\
-    \    if n.dirty then pull q\n\
-    \    else if M.cas q n { list = n.list; dirty = true } then n\n\
-    \    else pull q\n"
-  in
-  check_count "dirty re-test flagged" 1 (retry (ascan "lib/core/x.ml" spin));
-  let helps =
-    finish
-    ^ "let rec pull q =\n\
-      \    let n = M.get q in\n\
-      \    if n.dirty then (finish q; pull q)\n\
-      \    else if M.cas q n { list = n.list; dirty = true } then n\n\
-      \    else pull q\n"
-  in
-  check_count "helping silences" 0 (retry (ascan "lib/core/x.ml" helps));
-  (* copying the dirty bit forward is not a completion: only a literal
-     [dirty = false] fresh record helps *)
-  let copy =
-    "let rec pull q =\n\
-    \    let cur = M.get q in\n\
-    \    if M.cas q cur { list = cur.list; dirty = cur.dirty } then ()\n\
-    \    else pull q\n"
-  in
-  check_count "record copy is no help" 1 (retry (ascan "lib/core/x.ml" copy))
-
-(* A CAS whose result is discarded is a one-shot completion (any thread
-   may fire it, nobody retries on its account): a loop calling one
-   helps. A CAS whose value is bound or tested is an attempt, not a
-   completion. *)
-let test_cas_result_use () =
-  let loop_calling helper =
-    helper
-    ^ "let rec pull q =\n\
-      \    if M.cas q 0 1 then () else (reset q; pull q)\n"
-  in
-  check_count "ignore'd cas completes" 0
-    (retry
-       (ascan "lib/core/x.ml"
-          (loop_calling "let reset q =\n  ignore (M.cas q 1 0)\n\n")));
-  check_count "statement-position cas completes" 0
-    (retry
-       (ascan "lib/core/x.ml"
-          (loop_calling "let reset q =\n  M.cas q 1 0;\n  ()\n\n")));
-  check_count "let-bound cas is an attempt" 1
-    (retry
-       (ascan "lib/core/x.ml"
-          "let rec f q r =\n\
-          \  let ok =\n\
-          \    r := 1;\n\
-          \    M.cas q 0 1\n\
-          \  in\n\
-          \  if ok then () else f q r\n"));
-  check_count "tested cas is an attempt" 1
-    (retry
-       (ascan "lib/core/x.ml"
-          "let rec f q r =\n\
-          \  if (r := 1;\n\
-          \      M.cas q 0 1) then () else f q r\n"));
-  (* the token engine's CAS recognition (what [alloc-in-retry] keys on):
-     record labels and counter fields named [cas] are not calls, so a
-     recursive allocator without a real CAS is no retry loop *)
+(* The helping discipline is judged by the AST rule [static-retry]
+   (test_analysis). The token engine still recognizes CAS call sites for
+   [alloc-in-retry]: record labels and counter fields named [cas] are not
+   calls, so a recursive allocator without a real CAS is no retry
+   loop. *)
+let test_cas_recognition () =
   let alloc fs =
     List.filter (fun f -> f.Lint_rules.rule = "alloc-in-retry") fs
   in
@@ -640,10 +482,7 @@ let () =
         ] );
       ( "retry-loops",
         [
-          Alcotest.test_case "bare retry" `Quick test_bare_retry;
-          Alcotest.test_case "waiting retry" `Quick test_waiting_retry;
-          Alcotest.test_case "dirty-bit retry" `Quick test_dirty_retry;
-          Alcotest.test_case "cas result use" `Quick test_cas_result_use;
+          Alcotest.test_case "cas recognition" `Quick test_cas_recognition;
           Alcotest.test_case "alloc-in-retry" `Quick test_alloc_in_retry;
         ] );
       ( "mutable-atomic",

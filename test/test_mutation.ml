@@ -175,7 +175,9 @@ let test_tamper () =
    the generated mutants certify the same rule from two directions.
    [Lock_inverted_static] has no static class: no rule judges lock
    order, and its swap-lock-order mutants escalate to the
-   lock-inversion-deadlock twin instead. *)
+   lock-inversion-deadlock twin instead. [Published_record_write] has
+   none either: no remaining rule flags an in-place write through a
+   published record (a gap, pinned in test_analysis). *)
 let seeded_classes =
   [
     ("Post_publish_mutation", "inplace-publish", "stale-publish");
@@ -184,7 +186,6 @@ let seeded_classes =
     ("Lost_update", "demote-rmw", "atomicity");
     ("Counter_drift", "demote-rmw", "atomicity");
     ("Unpadded_top_row", "drop-pad", "layout");
-    ("Published_record_write", "mutabilize", "mutable-atomic");
   ]
 
 let load_baseline () =
